@@ -375,7 +375,7 @@ class DerivedFieldEngine:
                              cached=True) as exec_span:
                 env = self._warm_environment()
                 env.reset_instrumentation()
-                plan, hit, disposition = self._obtain_plan(prepared)
+                plan, hit, disposition, codegen = self._obtain_plan(prepared)
                 tracer.note_plan(prepared.key, plan,
                                  disposition=disposition)
                 anchor = tracer.now()
@@ -385,13 +385,7 @@ class DerivedFieldEngine:
                 report.cache = self.plan_cache.info(hit)
                 report.alloc = env.alloc_stats()
                 report.trace_id = exec_span.trace_id
-                if self.backend == "compiled":
-                    ran_compiled = isinstance(plan, CompiledPlan)
-                    report.codegen = CodegenInfo(
-                        backend=("compiled" if ran_compiled
-                                 else self.env_backend),
-                        disposition=disposition,
-                        compiled=ran_compiled)
+                report.codegen = codegen
                 exec_span.annotate(cache_hit=hit)
                 log = get_logger()
                 if log.debug_enabled:
@@ -405,8 +399,9 @@ class DerivedFieldEngine:
 
     def _obtain_plan(self, prepared: PreparedExecution):
         """Look up (or build and cache) the executable plan for a keyed
-        request; returns ``(plan, hit, disposition)``.  Callers hold
-        ``_exec_lock``."""
+        request; returns ``(plan, hit, disposition, codegen)``, where
+        ``codegen`` is the report's :class:`CodegenInfo` (None unless the
+        compiled backend is selected).  Callers hold ``_exec_lock``."""
         tracer = self.tracer
         with tracer.span("plan.lookup", category="engine") as look:
             plan = self.plan_cache.get(prepared.key)
@@ -422,7 +417,13 @@ class DerivedFieldEngine:
                         prepared.compiled.network, prepared.bindings,
                         prepared.n, prepared.dtype)
             self.plan_cache.put(prepared.key, plan)
-        return plan, hit, disposition
+        codegen = None
+        if self.backend == "compiled":
+            ran_compiled = isinstance(plan, CompiledPlan)
+            codegen = CodegenInfo(
+                backend="compiled" if ran_compiled else self.env_backend,
+                disposition=disposition, compiled=ran_compiled)
+        return plan, hit, disposition, codegen
 
     def execute_batch(self, batch: "Sequence[PreparedExecution]",
                       ) -> BatchExecution:
@@ -461,7 +462,8 @@ class DerivedFieldEngine:
                              batch=len(batch)) as exec_span:
                 env = self._warm_environment()
                 env.reset_instrumentation()
-                plan, hit, disposition = self._obtain_plan(batch[0])
+                plan, hit, disposition, codegen = \
+                    self._obtain_plan(batch[0])
                 tracer.note_plan(batch[0].key, plan,
                                  disposition=disposition)
                 reports: list[ExecutionReport] = []
@@ -478,13 +480,7 @@ class DerivedFieldEngine:
                             cap)
                         report.cache = self.plan_cache.info(hit)
                         report.alloc = cap.alloc_stats()
-                        if self.backend == "compiled":
-                            ran_compiled = isinstance(plan, CompiledPlan)
-                            report.codegen = CodegenInfo(
-                                backend=("compiled" if ran_compiled
-                                         else self.env_backend),
-                                disposition=disposition,
-                                compiled=ran_compiled)
+                        report.codegen = codegen
                         report.trace_id = exec_span.trace_id
                         peak = max(peak, report.mem_high_water)
                         reports.append(report)

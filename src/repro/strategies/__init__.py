@@ -11,15 +11,15 @@ from .base import CodegenInfo, ExecutionReport, ExecutionStrategy, \
     ctype_for
 from .bindings import ArraySpec, Binding, normalize, problem_size
 from .chunking import Chunk, MeshLayout, discover_mesh, plan_chunks
-from .fusion import FusedStage, FusionPlan, FusionStrategy, plan_stages
+from .fusion import FusedStage, FusionStrategy, plan_stages
 from .kernelgen import KernelCache
 from .multidevice import DeviceReport, MultiDeviceStrategy
 from .plancache import (CacheInfo, ExecutablePlan, PlanCache, PlanKey,
                         network_signature, plan_key)
 from .planner import PlanResult, plan
 from .reference import ReferenceKernel
-from .roundtrip import RoundtripPlan, RoundtripStrategy
-from .staged import StagedPlan, StagedStrategy
+from .roundtrip import RoundtripStrategy
+from .staged import StagedStrategy
 from .streaming import StreamingFusionStrategy
 
 STRATEGIES = {
@@ -46,11 +46,11 @@ __all__ = [
     "CodegenInfo", "ExecutionReport", "ExecutionStrategy", "ctype_for",
     "ArraySpec", "Binding", "normalize", "problem_size",
     "Chunk", "MeshLayout", "discover_mesh", "plan_chunks",
-    "FusedStage", "FusionPlan", "FusionStrategy", "plan_stages",
+    "FusedStage", "FusionStrategy", "plan_stages",
     "KernelCache", "DeviceReport", "MultiDeviceStrategy",
     "StreamingFusionStrategy", "CacheInfo", "ExecutablePlan", "PlanCache",
     "PlanKey", "network_signature", "plan_key",
     "PlanResult", "plan", "ReferenceKernel",
-    "RoundtripPlan", "RoundtripStrategy", "StagedPlan", "StagedStrategy",
+    "RoundtripStrategy", "StagedStrategy",
     "STRATEGIES", "get_strategy",
 ]

@@ -4,14 +4,15 @@ Section III-C: a strategy controls *"data movement and how the OpenCL
 kernels for each of the derived field primitives are composed to compute
 the final result"*.  Strategies share the primitive library and the
 dataflow network; they differ only in transfers, kernel granularity, and
-intermediate placement.  Adding a strategy means subclassing
-:class:`ExecutionStrategy` — no primitive changes, exactly the paper's
-extension story.
+intermediate placement — which is all a plan's op schedule encodes
+(:mod:`repro.strategies.plancache`).  Adding a strategy means subclassing
+:class:`ExecutionStrategy`, usually with just a ``build_plan`` that emits
+that schedule — no primitive changes, exactly the paper's extension
+story.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -25,10 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .multidevice import DeviceReport
     from .plancache import CacheInfo
 from ..dataflow.network import Network
-from ..dataflow.spec import NodeSpec
 from ..errors import StrategyError
-from ..primitives.base import Primitive, ResultKind, VECTOR_WIDTH
-from .bindings import ArraySpec, Binding, BindingInput, normalize, \
+from ..obs.log import get_logger
+from ..primitives.base import ResultKind, VECTOR_WIDTH
+from .bindings import Binding, BindingInput, normalize, \
     problem_size
 
 __all__ = ["CodegenInfo", "ExecutionReport", "ExecutionStrategy",
@@ -165,16 +166,28 @@ class ExecutionReport:
         )
 
 
-class ExecutionStrategy(abc.ABC):
+class ExecutionStrategy:
     """Base class: orchestration helpers shared by all strategies."""
 
     name: str = "abstract"
 
-    @abc.abstractmethod
     def execute(self, network: Network,
                 arrays: Mapping[str, BindingInput],
                 env: CLEnvironment) -> ExecutionReport:
-        """Run ``network`` over the bound host arrays on ``env``'s device."""
+        """Run ``network`` over the bound host arrays on ``env``'s device.
+
+        Plannable strategies (those defining ``build_plan``, which emits
+        the op schedule) inherit this: prepare, build, launch.  The others
+        (streaming, multi-device) override it.
+        """
+        bindings, n, dtype = self.prepare(network, arrays)
+        plan = self.build_plan(network, bindings, n, dtype)
+        log = get_logger()
+        if log.debug_enabled:
+            log.debug("strategy.execute", tracer=env.tracer,
+                      strategy=self.name, device=env.device.name,
+                      n=n, dtype=str(dtype))
+        return plan.run(bindings, env)
 
     def plan_token(self) -> tuple:
         """This strategy's contribution to the executable-plan cache key.
@@ -215,17 +228,6 @@ class ExecutionStrategy(abc.ABC):
             return dtype.itemsize * self._node_components(network, node_id)
         return n * dtype.itemsize * self._node_components(network, node_id)
 
-    def _broadcast_output(self, output: Optional[np.ndarray],
-                          network: Network, node_id: str,
-                          n: int) -> Optional[np.ndarray]:
-        """Expand a uniform result to the full problem size on return."""
-        if output is None or not network.uniform(node_id):
-            return output
-        components = self._node_components(network, node_id)
-        shape = (n,) if components == 1 else (n, components)
-        return np.ascontiguousarray(
-            np.broadcast_to(output.reshape(1, -1)[0], shape))
-
     def _report(self, env: CLEnvironment, output: Optional[np.ndarray],
                 sources: dict[str, str]) -> ExecutionReport:
         return ExecutionReport(
@@ -236,13 +238,3 @@ class ExecutionStrategy(abc.ABC):
             mem_high_water=env.mem_high_water,
             generated_sources=sources,
         )
-
-    @staticmethod
-    def _primitive_args(node: NodeSpec, primitive: Primitive,
-                        values: Mapping[str, np.ndarray]) -> list:
-        """Assemble NumPy executor arguments for one node: the input arrays
-        plus, for decompose, its compile-time component parameter."""
-        args = [values[input_id] for input_id in node.inputs]
-        if node.filter == "decompose":
-            args.append(node.param("component"))
-        return args

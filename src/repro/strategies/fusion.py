@@ -25,32 +25,30 @@ unavoidable.
 Fusion is where plan caching pays most: stage planning, OpenCL C
 generation, structural validation, and ``exec``-compiling the NumPy
 executors all happen in :meth:`FusionStrategy.build_plan`;
-:class:`FusionPlan.launch` is just uploads + one enqueue per stage + the
-single read-back.
+the plan's op tuple is just uploads + one alloc/kernel per stage + the
+single read-back, run by the shared launcher.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from ..clsim.buffer import Buffer
 from ..clsim.compiler import KernelSourceBuilder, validate_source_cached
-from ..clsim.environment import CLEnvironment
 from ..clsim.kernel import Kernel
 from ..clsim.perfmodel import KernelCost
 from ..dataflow.network import Network
 from ..dataflow.spec import CONST, SOURCE, NodeSpec
 from ..errors import StrategyError
-from ..obs.log import get_logger
-from ..primitives.base import CallStyle, Primitive, ResultKind, VECTOR_WIDTH
-from .base import ExecutionReport, ExecutionStrategy, ctype_for
-from .bindings import Binding, BindingInput
-from .plancache import ExecutablePlan
+from ..primitives.base import CallStyle, ResultKind, VECTOR_WIDTH
+from .base import ExecutionStrategy, ctype_for
+from .bindings import Binding
+from .plancache import AllocOp, ExecutablePlan, KernelOp, ReadOp, \
+    ReleaseOp, UploadOp
 
-__all__ = ["FusionStrategy", "FusionPlan", "FusedStage", "plan_stages"]
+__all__ = ["FusionStrategy", "FusedStage", "plan_stages"]
 
 _RESERVED = {"gid", "out", "np"}
 
@@ -157,100 +155,19 @@ def plan_stages(network: Network) -> tuple[list[FusedStage], set[str]]:
     return stages, materialize
 
 
-@dataclass(frozen=True)
-class _StageStep:
-    """One compiled fused stage, ready to enqueue."""
-
-    kernel: Kernel
-    cost: KernelCost
-    reads: tuple[str, ...]                   # argument buffers (node ids)
-    writes: tuple[tuple[str, int], ...]      # (node id, nbytes) outputs
-    releases: tuple[str, ...]                # dead after this stage
-
-
-class FusionPlan(ExecutablePlan):
-    """Replayable fused execution: compiled stage kernels and sizes."""
-
-    def __init__(self, *, stages: tuple[_StageStep, ...],
-                 reshape_output: bool, **common):
-        super().__init__(**common)
-        self.stages = stages
-        self.reshape_output = reshape_output
-
-    def launch(self, bindings: Mapping[str, Binding],
-               env: CLEnvironment) -> Optional[np.ndarray]:
-        dry = env.dry_run
-        tracer = env.tracer
-        buffers: dict[str, Buffer] = {}
-        try:
-            # Upload each input exactly once (Dev-W = number of sources).
-            with tracer.span("fusion.upload", category="strategy",
-                             sources=len(self.source_order)):
-                for source_id in self.source_order:
-                    binding = bindings[source_id]
-                    if dry:
-                        buffers[source_id] = env.upload_shape(
-                            binding.nbytes, source_id)
-                    else:
-                        buffers[source_id] = env.upload(binding.data,
-                                                        source_id)
-
-            for step in self.stages:
-                with tracer.span("fusion.stage", category="strategy",
-                                 kernel=step.kernel.name):
-                    out_buffers = []
-                    for node_id, nbytes in step.writes:
-                        buf = env.create_buffer(nbytes, node_id)
-                        buffers[node_id] = buf
-                        out_buffers.append(buf)
-                    arg_buffers = [buffers[node_id]
-                                   for node_id in step.reads]
-                    env.queue.enqueue_kernel(step.kernel, arg_buffers,
-                                             out_buffers, step.cost)
-                    for node_id in step.releases:
-                        buffers[node_id].release()
-
-            with tracer.span("fusion.readback", category="strategy"):
-                result = env.queue.enqueue_read_buffer(
-                    buffers[self.output_id])
-        finally:
-            # Mid-run failures (OOM on a stage output) must not leak the
-            # already-uploaded sources; release is idempotent.
-            for buf in buffers.values():
-                buf.release()
-
-        if result is None:
-            return None
-        output = result
-        if self.reshape_output:
-            output = output.reshape(self.n, -1)
-        return self._broadcast(output)
-
-
 class FusionStrategy(ExecutionStrategy):
     """Single (or minimal) kernel execution with register intermediates."""
 
     name = "fusion"
 
-    def execute(self, network: Network,
-                arrays: Mapping[str, BindingInput],
-                env: CLEnvironment) -> ExecutionReport:
-        bindings, n, dtype = self.prepare(network, arrays)
-        plan = self.build_plan(network, bindings, n, dtype)
-        log = get_logger()
-        if log.debug_enabled:
-            log.debug("strategy.execute", tracer=env.tracer,
-                      strategy=self.name, device=env.device.name,
-                      n=n, dtype=str(dtype))
-        return plan.run(bindings, env)
-
     def build_plan(self, network: Network,
                    bindings: Mapping[str, Binding],
-                   n: int, dtype: np.dtype) -> FusionPlan:
+                   n: int, dtype: np.dtype) -> ExecutablePlan:
         """Plan stages, generate + validate OpenCL C, and exec-compile the
         NumPy executors — all the value-independent work."""
         stages, _materialize = plan_stages(network)
         output_id = network.output_ids()[0]
+        sources = tuple(network.live_sources())
 
         # Last stage that reads each materialized value, for eager release.
         last_read: dict[str, int] = {}
@@ -258,8 +175,11 @@ class FusionStrategy(ExecutionStrategy):
             for node_id in stage.reads:
                 last_read[node_id] = stage.index
 
+        # Upload each input exactly once (Dev-W = number of sources).
+        slot_of = {source_id: slot for slot, source_id in enumerate(sources)}
+        ops: list = [UploadOp(slot, source_id, bindings[source_id].nbytes)
+                     for source_id, slot in slot_of.items()]
         sources_out: dict[str, str] = {}
-        steps: list[_StageStep] = []
         for stage in stages:
             if not stage.nodes:
                 continue  # degenerate network (output is a bare source)
@@ -268,25 +188,31 @@ class FusionStrategy(ExecutionStrategy):
             sources_out[kernel.name] = cl_source
             validate_source_cached(cl_source)
 
-            writes = tuple(
-                (node_id,
-                 self._node_nbytes(network, node_id, bindings, n, dtype))
-                for node_id in stage.writes)
+            for node_id in stage.writes:
+                slot_of[node_id] = len(slot_of)
+                ops.append(AllocOp(slot_of[node_id], node_id,
+                                   self._node_nbytes(network, node_id,
+                                                     bindings, n, dtype)))
+            ops.append(KernelOp(kernel,
+                                tuple(slot_of[i] for i in stage.reads),
+                                tuple(slot_of[i] for i in stage.writes),
+                                cost))
             releases = tuple(
-                node_id for node_id in stage.reads
+                slot_of[node_id] for node_id in stage.reads
                 if network.spec.node(node_id).filter != SOURCE
                 and last_read.get(node_id, -1) == stage.index
                 and node_id != output_id)
-            steps.append(_StageStep(kernel=kernel, cost=cost,
-                                    reads=tuple(stage.reads),
-                                    writes=writes, releases=releases))
+            if releases:
+                ops.append(ReleaseOp(releases))
+        ops.append(ReadOp(
+            slot_of[output_id], output_id,
+            reshape=(network.kind_of(output_id) is ResultKind.VECTOR
+                     and not network.uniform(output_id))))
 
-        return FusionPlan(
-            stages=tuple(steps),
-            reshape_output=(network.kind_of(output_id) is ResultKind.VECTOR
-                            and not network.uniform(output_id)),
+        return ExecutablePlan(
+            ops=tuple(ops),
             strategy_name=self.name,
-            source_order=tuple(network.live_sources()),
+            source_order=sources,
             n=n, dtype=dtype,
             output_id=output_id,
             output_kind=network.kind_of(output_id),

@@ -10,17 +10,21 @@ cache by (source, device) for exactly this reason, and Loo.py separates
 one-time transformation/codegen from repeated invocation.
 
 An :class:`ExecutablePlan` captures everything execution needs that does
-not depend on array *values*: the planned step/stage sequence, generated
-(and validated) OpenCL C, compiled :class:`~repro.clsim.kernel.Kernel`
-objects with their exec'd Python executors, precomputed per-node byte
-sizes and :class:`~repro.clsim.perfmodel.KernelCost` models.  A warm
-``run()`` only binds input arrays, launches, and reads back — producing
-the *identical* event sequence, allocation order, and bitwise-identical
+not depend on array *values*: the op schedule (upload, alloc, kernel,
+read, release, host ops — the only thing the paper's strategies differ
+in), generated (and validated) OpenCL C, compiled
+:class:`~repro.clsim.kernel.Kernel` objects with their exec'd Python
+executors, precomputed byte sizes and
+:class:`~repro.clsim.perfmodel.KernelCost` models.  One launcher,
+:meth:`ExecutablePlan.launch`, runs any strategy's schedule; a warm
+``run()`` only binds input arrays and replays it — producing the
+*identical* event sequence, allocation order, and bitwise-identical
 output of a cold run.
 
-Strategies that support planning implement ``build_plan()`` and route
-their own ``execute()`` through it, so cold and warm paths share one code
-path by construction.  :class:`PlanCache` (held by
+Strategies that support planning implement ``build_plan()`` and inherit
+:meth:`~repro.strategies.base.ExecutionStrategy.execute`, which routes
+through it, so cold and warm paths share one code path by construction.
+:class:`PlanCache` (held by
 :class:`~repro.host.engine.DerivedFieldEngine`) is an LRU keyed by
 :class:`PlanKey` — a content hash of the network structure plus every
 execution-relevant parameter — with hit/miss/evict counters surfaced in
@@ -29,16 +33,18 @@ execution-relevant parameter — with hit/miss/evict counters surfaced in
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
+from ..clsim.buffer import Buffer
 from ..clsim.environment import CLEnvironment
+from ..clsim.kernel import Kernel
+from ..clsim.perfmodel import KernelCost
 from ..dataflow.network import Network
 from ..metrics import get_registry
 from ..dataflow.spec import CONST, SOURCE
@@ -47,7 +53,8 @@ from .base import ExecutionReport
 from .bindings import Binding
 
 __all__ = ["CODEGEN_VERSION", "ExecutablePlan", "PlanKey", "PlanCache",
-           "CacheInfo", "network_signature", "plan_key"]
+           "CacheInfo", "network_signature", "plan_key", "AllocOp",
+           "HostOp", "KernelOp", "Op", "ReadOp", "ReleaseOp", "UploadOp"]
 
 DEFAULT_PLAN_CACHE_SIZE = 32
 
@@ -247,20 +254,88 @@ class PlanCache:
             return key in self._plans
 
 
-class ExecutablePlan(abc.ABC):
+# -- the op schedule ----------------------------------------------------------
+#
+# A plan's schedule is one immutable tuple of ops.  Device buffers are named
+# by integer *slot* (roundtrip uploads a fresh buffer for every argument
+# occurrence, so a node id does not identify a buffer); host values — source
+# bindings, read-back results, host-side computations — are named by node id.
+
+
+@dataclass(frozen=True)
+class UploadOp:
+    """Copy a host value into a fresh device buffer (one Dev-W)."""
+
+    slot: int
+    node_id: str        # host value to upload; also the buffer label
+    nbytes: int         # the value's size (dry runs have no data)
+
+
+@dataclass(frozen=True)
+class AllocOp:
+    """Reserve an uninitialized device buffer for a kernel output."""
+
+    slot: int
+    node_id: str
+    nbytes: int
+
+
+@dataclass(frozen=True)
+class KernelOp:
+    """Launch one kernel (one K-Exe) over buffer slots, then any trailing
+    by-value scalars; ``outs`` receive its result(s)."""
+
+    kernel: Kernel
+    args: tuple[int, ...]
+    outs: tuple[int, ...]
+    cost: KernelCost
+    by_value: tuple = ()
+
+
+@dataclass(frozen=True)
+class ReadOp:
+    """Read a buffer back into host value ``node_id`` (one Dev-R)."""
+
+    slot: int
+    node_id: str
+    reshape: bool = False   # view the result as (n, VECTOR_WIDTH)
+
+
+@dataclass(frozen=True)
+class ReleaseOp:
+    """Return buffers to the allocator (or the pool) eagerly."""
+
+    slots: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class HostOp:
+    """Compute host value ``node_id`` on the host — no device events.
+    ``fn`` receives the host values of ``inputs``; dry runs skip it."""
+
+    node_id: str
+    fn: Callable
+    inputs: tuple[str, ...] = ()
+
+
+Op = Union[UploadOp, AllocOp, KernelOp, ReadOp, ReleaseOp, HostOp]
+
+
+class ExecutablePlan:
     """A fully-compiled, value-independent execution recipe.
 
-    Subclasses (one per plannable strategy) capture the strategy-specific
-    step sequence at build time; :meth:`launch` replays it against fresh
-    bindings.  The plan holds no :class:`~repro.clsim.buffer.Buffer` or
-    array data — only sizes, kernels, and costs — so one plan instance can
-    run any number of times, on any environment of the same device/backend.
+    Strategies emit the plan's op schedule at build time; :meth:`launch`
+    runs it against fresh bindings.  The plan holds no
+    :class:`~repro.clsim.buffer.Buffer` or array data — only sizes,
+    kernels, and costs — so one plan instance can run any number of times,
+    on any environment of the same device/backend.
     """
 
     def __init__(self, strategy_name: str, source_order: tuple[str, ...],
                  n: int, dtype: np.dtype, output_id: str,
                  output_kind: ResultKind, output_uniform: bool,
-                 generated_sources: dict[str, str]):
+                 generated_sources: dict[str, str],
+                 ops: tuple[Op, ...] = ()):
         self.strategy_name = strategy_name
         self.source_order = source_order
         self.n = n
@@ -269,12 +344,53 @@ class ExecutablePlan(abc.ABC):
         self.output_kind = output_kind
         self.output_uniform = output_uniform
         self.generated_sources = generated_sources
+        self.ops = ops
 
-    @abc.abstractmethod
     def launch(self, bindings: Mapping[str, Binding],
                env: CLEnvironment) -> Optional[np.ndarray]:
-        """Bind arrays, enqueue the recorded transfers/kernels, and return
-        the raw output (None when planning dry)."""
+        """Run the op schedule on ``env`` and return the raw output (None
+        when planning dry).  Buffers still live when the schedule ends —
+        or when an op fails (OOM, validation) — are released."""
+        dry = env.dry_run
+        queue = env.queue
+        host = {s: bindings[s].data for s in self.source_order}
+        live: dict[int, Buffer] = {}
+        with env.tracer.span("plan.schedule", category="strategy",
+                             strategy=self.strategy_name,
+                             ops=len(self.ops)):
+            try:
+                for op in self.ops:
+                    kind = type(op)
+                    if kind is UploadOp:
+                        live[op.slot] = (
+                            env.upload_shape(op.nbytes, op.node_id) if dry
+                            else env.upload(host[op.node_id], op.node_id))
+                    elif kind is AllocOp:
+                        live[op.slot] = env.create_buffer(op.nbytes,
+                                                          op.node_id)
+                    elif kind is KernelOp:
+                        args = [live[s] for s in op.args]
+                        args.extend(op.by_value)
+                        queue.enqueue_kernel(op.kernel, args,
+                                             [live[s] for s in op.outs],
+                                             op.cost)
+                    elif kind is ReadOp:
+                        result = queue.enqueue_read_buffer(live[op.slot])
+                        if result is not None and op.reshape:
+                            result = result.reshape(self.n, -1)
+                        host[op.node_id] = result
+                    elif kind is ReleaseOp:
+                        for s in op.slots:
+                            live.pop(s).release()
+                    elif not dry:       # HostOp
+                        host[op.node_id] = op.fn(
+                            *[host[i] for i in op.inputs])
+            finally:
+                for buf in live.values():
+                    buf.release()
+        if dry:
+            return None
+        return self._broadcast(host[self.output_id])
 
     def run(self, bindings: Mapping[str, Binding],
             env: CLEnvironment) -> ExecutionReport:

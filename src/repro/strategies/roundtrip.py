@@ -12,129 +12,37 @@ The payoff for all this traffic: device global memory only ever holds one
 kernel's working set, making roundtrip the least memory-constrained
 strategy (it can process data sets the faster strategies cannot fit).
 
-Execution is split into :meth:`RoundtripStrategy.build_plan` (schedule
-walk, kernel generation, byte/cost precomputation — everything that does
-not depend on array values) and :class:`RoundtripPlan.launch` (bind,
-transfer, launch, read back).  A cold ``execute()`` is build + launch; a
-warm execution through the engine's plan cache replays the same launch
-against new arrays.
+:meth:`RoundtripStrategy.build_plan` resolves the schedule to a plan's op
+tuple — per kernel node: one upload per argument occurrence, alloc,
+kernel, read back, release; per ``const``/``decompose`` node: a host op —
+which the shared launcher runs cold and, through the engine's plan
+cache, warm against new arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+import functools
+import itertools
+from typing import Mapping
 
 import numpy as np
 
-from ..clsim.environment import CLEnvironment
-from ..clsim.kernel import Kernel
 from ..clsim.perfmodel import KernelCost
 from ..dataflow.network import Network
 from ..dataflow.spec import CONST, SOURCE
-from ..obs.log import get_logger
 from ..primitives.base import ResultKind
-from .base import ExecutionReport, ExecutionStrategy
-from .bindings import Binding, BindingInput
+from .base import ExecutionStrategy
+from .bindings import Binding
 from .kernelgen import ARRAY, CONST_BUF, KernelCache, VECTOR
-from .plancache import ExecutablePlan
+from .plancache import AllocOp, ExecutablePlan, HostOp, KernelOp, ReadOp, \
+    ReleaseOp, UploadOp
 
-__all__ = ["RoundtripStrategy", "RoundtripPlan"]
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One scheduled node, fully resolved at plan-build time."""
-
-    op: str                              # "source" | "const" | "decompose"
-    node_id: str                         # | "kernel"
-    value: float = 0.0                   # const
-    source_id: str = ""                  # decompose input
-    component: int = 0                   # decompose
-    inputs: tuple[str, ...] = ()         # kernel arguments (node ids)
-    input_nbytes: tuple[int, ...] = ()   # kernel argument buffer sizes
-    out_nbytes: int = 0
-    kernel: Optional[Kernel] = None
-    cost: Optional[KernelCost] = None
-    is_vector: bool = False              # reshape result to (n, width)
+__all__ = ["RoundtripStrategy"]
 
 
-class RoundtripPlan(ExecutablePlan):
-    """Replayable roundtrip schedule: per-node kernels and buffer sizes."""
-
-    def __init__(self, *, steps: tuple[_Step, ...], **common):
-        super().__init__(**common)
-        self.steps = steps
-
-    def launch(self, bindings: Mapping[str, Binding],
-               env: CLEnvironment) -> Optional[np.ndarray]:
-        dry = env.dry_run
-        tracer = env.tracer
-        # Host-side values for every node (None when planning).
-        values: dict[str, Optional[np.ndarray]] = {}
-        output: Optional[np.ndarray] = None
-        live = []
-        try:
-            for step in self.steps:
-                if step.op == "source":
-                    values[step.node_id] = bindings[step.node_id].data
-                    continue
-                if step.op == "const":
-                    values[step.node_id] = (
-                        None if dry
-                        else np.full(1, step.value, dtype=self.dtype))
-                    continue
-                if step.op == "decompose":
-                    # Host-side component selection: no device events.
-                    values[step.node_id] = (
-                        None if dry else np.ascontiguousarray(
-                            values[step.source_id][:, step.component]))
-                    if step.node_id == self.output_id:
-                        output = values[step.node_id]
-                    continue
-
-                # Upload one fresh buffer per argument occurrence; the
-                # span covers the node's full round trip (up, launch,
-                # down) — the strategy's defining cost shape.
-                with tracer.span("roundtrip.node", category="strategy",
-                                 node=step.node_id,
-                                 kernel=step.kernel.name):
-                    arg_buffers = []
-                    for input_id, nbytes in zip(step.inputs,
-                                                step.input_nbytes):
-                        if dry:
-                            buf = env.upload_shape(nbytes, input_id)
-                        else:
-                            buf = env.upload(values[input_id], input_id)
-                        live.append(buf)
-                        arg_buffers.append(buf)
-                    out_buf = env.create_buffer(step.out_nbytes,
-                                                step.node_id)
-                    live.append(out_buf)
-
-                    env.queue.enqueue_kernel(step.kernel, arg_buffers,
-                                             out_buf, step.cost)
-                    result = env.queue.enqueue_read_buffer(out_buf)
-                    if result is not None and step.is_vector:
-                        result = result.reshape(self.n, -1)
-                    values[step.node_id] = result
-                    if step.node_id == self.output_id:
-                        output = result
-
-                    for buf in arg_buffers:
-                        buf.release()
-                    out_buf.release()
-        finally:
-            # A mid-run failure (OOM, validation) must not leak device
-            # bytes from the allocator; release is idempotent.
-            for buf in live:
-                buf.release()
-
-        if output is None and not dry:
-            # Degenerate network: the output is a source, constant, or a
-            # host-side decompose — already in host memory, no kernels.
-            output = values.get(self.output_id)
-        return self._broadcast(output)
+def _host_component(vector: np.ndarray, component: int) -> np.ndarray:
+    """Host-side decompose: the gradient is already in host memory."""
+    return np.ascontiguousarray(vector[:, component])
 
 
 class RoundtripStrategy(ExecutionStrategy):
@@ -142,40 +50,29 @@ class RoundtripStrategy(ExecutionStrategy):
 
     name = "roundtrip"
 
-    def execute(self, network: Network,
-                arrays: Mapping[str, BindingInput],
-                env: CLEnvironment) -> ExecutionReport:
-        bindings, n, dtype = self.prepare(network, arrays)
-        plan = self.build_plan(network, bindings, n, dtype)
-        log = get_logger()
-        if log.debug_enabled:
-            log.debug("strategy.execute", tracer=env.tracer,
-                      strategy=self.name, device=env.device.name,
-                      n=n, dtype=str(dtype))
-        return plan.run(bindings, env)
-
     def build_plan(self, network: Network,
                    bindings: Mapping[str, Binding],
-                   n: int, dtype: np.dtype) -> RoundtripPlan:
-        """Resolve the schedule to value-independent steps: generated
+                   n: int, dtype: np.dtype) -> ExecutablePlan:
+        """Resolve the schedule to value-independent ops: generated
         kernels, argument kinds, buffer sizes, and modeled costs."""
         cache = KernelCache(dtype)
         registry = network.registry
         output_id = network.output_ids()[0]
-        steps: list[_Step] = []
+        slots = itertools.count()
+        ops: list = []
 
         for node in network.schedule():
             if node.filter == SOURCE:
-                steps.append(_Step("source", node.id))
-                continue
+                continue        # host value: the binding itself
             if node.filter == CONST:
-                steps.append(_Step("const", node.id,
-                                   value=float(node.param("value"))))
+                ops.append(HostOp(node.id, functools.partial(
+                    np.full, 1, float(node.param("value")), dtype=dtype)))
                 continue
             if node.filter == "decompose":
-                steps.append(_Step(
-                    "decompose", node.id, source_id=node.inputs[0],
-                    component=int(node.param("component"))))
+                ops.append(HostOp(node.id, functools.partial(
+                    _host_component,
+                    component=int(node.param("component"))),
+                    inputs=node.inputs))
                 continue
 
             primitive = registry.get(node.filter)
@@ -201,14 +98,20 @@ class RoundtripStrategy(ExecutionStrategy):
                 register_words=4,
                 itemsize=dtype.itemsize,
                 elements=n)
-            steps.append(_Step(
-                "kernel", node.id, inputs=node.inputs,
-                input_nbytes=input_nbytes, out_nbytes=out_nbytes,
-                kernel=kernel, cost=cost,
-                is_vector=network.kind_of(node.id) is ResultKind.VECTOR))
+            # One fresh buffer per argument occurrence, then the node's
+            # full round trip: launch, read back, release everything.
+            args = tuple(next(slots) for _ in node.inputs)
+            ops.extend(UploadOp(slot, input_id, nbytes) for slot, input_id,
+                       nbytes in zip(args, node.inputs, input_nbytes))
+            out = next(slots)
+            ops += [AllocOp(out, node.id, out_nbytes),
+                    KernelOp(kernel, args, (out,), cost),
+                    ReadOp(out, node.id, reshape=network.kind_of(node.id)
+                           is ResultKind.VECTOR),
+                    ReleaseOp((*args, out))]
 
-        return RoundtripPlan(
-            steps=tuple(steps),
+        return ExecutablePlan(
+            ops=tuple(ops),
             strategy_name=self.name,
             source_order=tuple(network.live_sources()),
             n=n, dtype=dtype,

@@ -16,148 +16,31 @@ Consequences measured by the paper:
 * holding live intermediates in global memory makes staged the *most*
   memory-constrained strategy, even with reference-counted eager release.
 
-Execution splits into :meth:`StagedStrategy.build_plan` — which walks the
-schedule once, generates kernels, and *simulates* the reference-counted
-release sequence so each step carries its exact eager-release list — and
-:class:`StagedPlan.launch`, which replays uploads/launches/releases.  The
-replay reproduces the cold path's allocation order exactly, so the
-strategy's signature memory high-water mark is identical warm or cold.
+:meth:`StagedStrategy.build_plan` walks the schedule once, generates
+kernels, and *simulates* the reference counts so the plan's op tuple
+carries each eager release right after the kernel that made it due; the
+shared launcher runs those ops unchanged cold or warm.  Replaying them
+reproduces the cold path's allocation order exactly, so the strategy's
+signature memory high-water mark is identical warm or cold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from ..clsim.buffer import Buffer
-from ..clsim.environment import CLEnvironment
-from ..clsim.kernel import Kernel
 from ..clsim.perfmodel import KernelCost
 from ..dataflow.network import Network
 from ..dataflow.spec import CONST, SOURCE
-from ..obs.log import get_logger
 from ..primitives.base import ResultKind
-from .base import ExecutionReport, ExecutionStrategy
-from .bindings import Binding, BindingInput
+from .base import ExecutionStrategy
+from .bindings import Binding
 from .kernelgen import ARRAY, BY_VALUE, CONST_BUF, KernelCache, VECTOR
-from .plancache import ExecutablePlan
+from .plancache import AllocOp, ExecutablePlan, KernelOp, ReadOp, \
+    ReleaseOp, UploadOp
 
-__all__ = ["StagedStrategy", "StagedPlan"]
-
-
-@dataclass(frozen=True)
-class _FillStep:
-    """Materialize one pooled constant with a fill kernel."""
-
-    node_id: str
-    value: float
-    kernel: Kernel
-    cost: KernelCost
-
-
-@dataclass(frozen=True)
-class _NodeStep:
-    """One filter launch: lazy source uploads, the kernel, and the eager
-    releases that follow it (precomputed from the refcount simulation)."""
-
-    node_id: str
-    uploads: tuple[str, ...]        # sources to upload before launching
-    arg_ids: tuple[str, ...]        # buffer arguments (node ids)
-    by_value: Optional[int]         # decompose's component, passed by value
-    out_nbytes: int
-    kernel: Kernel
-    cost: KernelCost
-    reshape: bool                   # view result as (n, VECTOR_WIDTH)
-    releases: tuple[str, ...]       # buffers whose last consumer just ran
-
-
-class StagedPlan(ExecutablePlan):
-    """Replayable staged schedule with a precomputed release sequence."""
-
-    def __init__(self, *, fills: tuple[_FillStep, ...],
-                 steps: tuple[_NodeStep, ...],
-                 const_nbytes: int,
-                 upload_output_source: Optional[str],
-                 final_releases: tuple[str, ...], **common):
-        super().__init__(**common)
-        self.fills = fills
-        self.steps = steps
-        self.const_nbytes = const_nbytes
-        self.upload_output_source = upload_output_source
-        self.final_releases = final_releases
-
-    def launch(self, bindings: Mapping[str, Binding],
-               env: CLEnvironment) -> Optional[np.ndarray]:
-        dry = env.dry_run
-        buffers: dict[str, Buffer] = {}
-
-        def upload(source_id: str) -> None:
-            """Upload a source just before its first consumer runs (exactly
-            one Dev-W per distinct input).  Lazy staging keeps the device
-            footprint to live values only — the property that lets staged
-            execute networks whose fused form cannot fit (Section V-D)."""
-            binding = bindings[source_id]
-            if dry:
-                buffers[source_id] = env.upload_shape(
-                    binding.nbytes, source_id)
-            else:
-                buffers[source_id] = env.upload(binding.data, source_id)
-
-        tracer = env.tracer
-        try:
-            # -- materialize constants with fill kernels ---------------------
-            if self.fills:
-                with tracer.span("staged.fills", category="strategy",
-                                 fills=len(self.fills)):
-                    for fill in self.fills:
-                        buf = env.create_buffer(self.const_nbytes,
-                                                fill.node_id)
-                        env.queue.enqueue_kernel(fill.kernel, [fill.value],
-                                                 buf, fill.cost)
-                        buffers[fill.node_id] = buf
-
-            # -- execute filters in dependency order --------------------------
-            for step in self.steps:
-                with tracer.span("staged.node", category="strategy",
-                                 node=step.node_id,
-                                 kernel=step.kernel.name):
-                    for source_id in step.uploads:
-                        upload(source_id)
-                    kernel_args: list[object] = [buffers[i]
-                                                 for i in step.arg_ids]
-                    if step.by_value is not None:
-                        # The component travels by value, not as a buffer.
-                        kernel_args.append(step.by_value)
-                    out_buf = env.create_buffer(step.out_nbytes,
-                                                step.node_id)
-                    env.queue.enqueue_kernel(step.kernel, kernel_args,
-                                             out_buf, step.cost)
-                    buffers[step.node_id] = out_buf
-                    if not dry and step.reshape \
-                            and out_buf.data is not None:
-                        out_buf.data = out_buf.data.reshape(self.n, -1)
-                    for node_id in step.releases:
-                        buffers[node_id].release()
-
-            # -- read back only the final result ------------------------------
-            with tracer.span("staged.readback", category="strategy"):
-                if self.upload_output_source is not None:
-                    upload(self.upload_output_source)  # degenerate `a = u`
-                result = env.queue.enqueue_read_buffer(
-                    buffers[self.output_id])
-                for node_id in self.final_releases:
-                    buffers[node_id].release()
-        finally:
-            # Mid-run failures must not leak allocator bytes (release is
-            # idempotent, so the normal eager releases are unaffected).
-            for buf in buffers.values():
-                buf.release()
-
-        if result is None:
-            return None
-        return self._broadcast(result)
+__all__ = ["StagedStrategy"]
 
 
 class StagedStrategy(ExecutionStrategy):
@@ -165,58 +48,48 @@ class StagedStrategy(ExecutionStrategy):
 
     name = "staged"
 
-    def execute(self, network: Network,
-                arrays: Mapping[str, BindingInput],
-                env: CLEnvironment) -> ExecutionReport:
-        bindings, n, dtype = self.prepare(network, arrays)
-        plan = self.build_plan(network, bindings, n, dtype)
-        log = get_logger()
-        if log.debug_enabled:
-            log.debug("strategy.execute", tracer=env.tracer,
-                      strategy=self.name, device=env.device.name,
-                      n=n, dtype=str(dtype))
-        return plan.run(bindings, env)
-
     def build_plan(self, network: Network,
                    bindings: Mapping[str, Binding],
-                   n: int, dtype: np.dtype) -> StagedPlan:
+                   n: int, dtype: np.dtype) -> ExecutablePlan:
         """Walk the schedule once: generate kernels, size buffers, and
         simulate the reference counts so every eager release lands on the
-        same step it does in live execution."""
+        same op it does in live execution."""
         cache = KernelCache(dtype)
         registry = network.registry
         refcounts = network.refcounts()
         output_id = network.output_ids()[0]
+        slot_of: dict[str, int] = {}    # node id -> its buffer's slot
+        ops: list = []
 
-        uploaded: set[str] = set()
-        released: set[str] = set()
+        def upload(source_id: str) -> None:
+            """Upload a source just before its first consumer runs (exactly
+            one Dev-W per distinct input).  Lazy staging keeps the device
+            footprint to live values only — the property that lets staged
+            execute networks whose fused form cannot fit (Section V-D)."""
+            slot_of[source_id] = len(slot_of)
+            ops.append(UploadOp(slot_of[source_id], source_id,
+                                bindings[source_id].nbytes))
 
-        def consume(node_id: str, releases: list[str]) -> None:
-            refcounts[node_id] -= 1
-            if refcounts[node_id] == 0:
-                releases.append(node_id)
-                released.add(node_id)
-
-        fills: list[_FillStep] = []
+        # Materialize each constant once with a fill kernel.
         for node in network.schedule():
             if node.filter != CONST:
                 continue
-            fills.append(_FillStep(
-                node.id, float(node.param("value")), cache.fill_kernel(),
-                KernelCost(global_bytes=dtype.itemsize, flops=0,
-                           itemsize=dtype.itemsize)))
+            slot_of[node.id] = len(slot_of)
+            ops += [AllocOp(slot_of[node.id], node.id, dtype.itemsize),
+                    KernelOp(cache.fill_kernel(), (), (slot_of[node.id],),
+                             KernelCost(global_bytes=dtype.itemsize,
+                                        flops=0, itemsize=dtype.itemsize),
+                             by_value=(float(node.param("value")),))]
 
-        steps: list[_NodeStep] = []
+        # Execute filters in dependency order.
         for node in network.schedule():
             if node.filter in (SOURCE, CONST):
                 continue
             primitive = registry.get(node.filter)
-            uploads = []
             for input_id in node.inputs:
                 if network.spec.node(input_id).filter == SOURCE \
-                        and input_id not in uploaded:
-                    uploaded.add(input_id)
-                    uploads.append(input_id)
+                        and input_id not in slot_of:
+                    upload(input_id)
 
             arg_kinds = []
             for input_id in node.inputs:
@@ -227,9 +100,10 @@ class StagedStrategy(ExecutionStrategy):
                     arg_kinds.append(VECTOR)
                 else:
                     arg_kinds.append(ARRAY)
-            by_value = (int(node.param("component"))
-                        if node.filter == "decompose" else None)
-            if by_value is not None:
+            # decompose's component travels by value, not as a buffer.
+            by_value = ((int(node.param("component")),)
+                        if node.filter == "decompose" else ())
+            if by_value:
                 arg_kinds.append(BY_VALUE)
 
             input_nbytes = [
@@ -248,44 +122,31 @@ class StagedStrategy(ExecutionStrategy):
                 itemsize=dtype.itemsize,
                 elements=n)
 
-            releases: list[str] = []
+            slot_of[node.id] = len(slot_of)
+            ops += [AllocOp(slot_of[node.id], node.id, out_nbytes),
+                    KernelOp(kernel,
+                             tuple(slot_of[i] for i in node.inputs),
+                             (slot_of[node.id],), cost, by_value)]
+            releases = []
             for input_id in node.inputs:
-                consume(input_id, releases)
-            steps.append(_NodeStep(
-                node_id=node.id,
-                uploads=tuple(uploads),
-                arg_ids=node.inputs,
-                by_value=by_value,
-                out_nbytes=out_nbytes,
-                kernel=kernel,
-                cost=cost,
-                reshape=(network.kind_of(node.id) is ResultKind.VECTOR
-                         and not network.uniform(node.id)),
-                releases=tuple(releases)))
-            uploads = []
+                refcounts[input_id] -= 1
+                if refcounts[input_id] == 0:
+                    releases.append(slot_of[input_id])
+            if releases:
+                ops.append(ReleaseOp(tuple(releases)))
 
-        upload_output_source = None
-        if network.spec.node(output_id).filter == SOURCE \
-                and output_id not in uploaded:
-            upload_output_source = output_id
-            uploaded.add(output_id)
+        # Read back only the final result; the launcher releases whatever
+        # is still live once the schedule ends.
+        if output_id not in slot_of:
+            upload(output_id)                   # degenerate `a = u`
+        ops.append(ReadOp(
+            slot_of[output_id], output_id,
+            reshape=(network.kind_of(output_id) is ResultKind.VECTOR
+                     and not network.uniform(output_id)
+                     and network.spec.node(output_id).filter != SOURCE)))
 
-        final_releases: list[str] = []
-        consume(output_id, final_releases)
-        # Release anything the output aliasing kept alive (e.g. the output
-        # itself when it is also an alias target).
-        for node_id in (*(f.node_id for f in fills), *uploaded,
-                        *(s.node_id for s in steps)):
-            if node_id not in released and refcounts.get(node_id, 0) <= 0:
-                final_releases.append(node_id)
-                released.add(node_id)
-
-        return StagedPlan(
-            fills=tuple(fills),
-            steps=tuple(steps),
-            const_nbytes=dtype.itemsize,
-            upload_output_source=upload_output_source,
-            final_releases=tuple(final_releases),
+        return ExecutablePlan(
+            ops=tuple(ops),
             strategy_name=self.name,
             source_order=tuple(network.live_sources()),
             n=n, dtype=dtype,
