@@ -68,19 +68,30 @@ class EventLog:
 
     events: list[Event] = field(default_factory=list)
     cursor: float = 0.0
-    # Per-record hook: the command queue installs a registry observer
-    # here so every event — including direct records like dry-run
-    # ``upload_shape`` — lands in the process-wide transfer/kernel
-    # counters (DESIGN.md §9) no matter which call site produced it.
-    observer: Optional[Callable[[Event], None]] = None
+    # Record hook, called as ``observer(kind, count, nbytes)``: the
+    # command queue installs a registry observer here so every event —
+    # including direct records like dry-run ``upload_shape`` — lands in
+    # the process-wide transfer/kernel counters (DESIGN.md §9) no matter
+    # which call site produced it.
+    observer: Optional[Callable[[EventKind, int, int], None]] = None
 
     def record(self, event: Event) -> None:
-        if event.ts_seconds is None:
-            event = replace(event, ts_seconds=self.cursor)
-        self.cursor = event.ts_seconds + event.sim_seconds
-        self.events.append(event)
+        self.record_all((event,), ((event.kind, 1, event.nbytes),))
+
+    def record_all(self, events: Iterable[Event],
+                   totals: Iterable[tuple[EventKind, int, int]]) -> None:
+        """Record ``events`` in order, notifying the observer once per
+        kind with ``totals`` — their ``(kind, count, nbytes)`` sums — so
+        a compiled plan's warm launch, which precomputes them, advances
+        each counter once rather than once per event."""
+        for event in events:
+            if event.ts_seconds is None:
+                event = replace(event, ts_seconds=self.cursor)
+            self.cursor = event.ts_seconds + event.sim_seconds
+            self.events.append(event)
         if self.observer is not None:
-            self.observer(event)
+            for kind, count, nbytes in totals:
+                self.observer(kind, count, nbytes)
 
     def clear(self) -> None:
         self.events.clear()

@@ -86,7 +86,7 @@ class CommandQueue:
         self._xfer_seconds: dict[int, float] = {}
         # Registry mirror of the event layer (Table II's measurement
         # surface): one count counter + one bytes counter per category,
-        # bound once per queue so the per-event cost is two child
+        # bound once per queue so one observation costs two child
         # increments.  The log observer catches every record path.
         # ``registry`` overrides the process registry — capture/replay
         # environments pass NULL_REGISTRY so modeling runs stay silent.
@@ -126,11 +126,12 @@ class CommandQueue:
         }
         self.log.observer = self._observe_event
 
-    def _observe_event(self, event: Event) -> None:
-        count_child, bytes_child = self._event_children[event.kind]
-        count_child.inc()
+    def _observe_event(self, kind: EventKind, count: int,
+                       nbytes: int) -> None:
+        count_child, bytes_child = self._event_children[kind]
+        count_child.inc(count)
         if bytes_child is not None:
-            bytes_child.inc(event.nbytes)
+            bytes_child.inc(nbytes)
 
     def xfer_seconds(self, nbytes: int) -> float:
         """Modeled host<->device transfer time, memoized per size — warm

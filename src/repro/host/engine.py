@@ -37,7 +37,7 @@ from ..codegen import (CompiledPlan, PlanDiskCache, codegen_token,
                        compile_plan)
 from ..dataflow.network import Network
 from ..dataflow.script import render_script
-from ..errors import HostInterfaceError
+from ..errors import CLOutOfMemoryError, HostInterfaceError
 from ..expr.lower import lower
 from ..expr.optimize import eliminate_common_subexpressions
 from ..expr.parser import parse
@@ -46,7 +46,7 @@ from ..obs.log import get_logger
 from ..primitives.base import PrimitiveRegistry, ResultKind
 from ..strategies import (CodegenInfo, ExecutionReport, ExecutionStrategy,
                           get_strategy)
-from ..strategies.bindings import ArraySpec, Binding, BindingInput
+from ..strategies.bindings import Binding, BindingInput
 from ..strategies.plancache import PlanCache, PlanKey, plan_key
 from ..trace import NULL_TRACER, Tracer
 
@@ -80,7 +80,7 @@ class PreparedExecution:
     and (on the cached path) assembles the plan-cache key.  Hosts that
     schedule work — notably :class:`~repro.service.DerivedFieldService` —
     prepare once, route on ``key``, and hand the prepared request to a
-    worker's :meth:`DerivedFieldEngine.execute_prepared`.
+    worker's :meth:`DerivedFieldEngine.execute_batch`.
 
     ``key`` is ``None`` when this engine bypasses the plan cache
     (``plan_cache=False``, dry-run, or a strategy without ``build_plan``).
@@ -98,22 +98,22 @@ class PreparedExecution:
 
 @dataclass
 class BatchExecution:
-    """The result of one coalesced multi-request launch.
+    """The result of one launch of B >= 1 same-key requests.
 
     ``reports`` are per-member :class:`ExecutionReport` objects whose
     output/counts/timing/memory are identical to what each member's solo
     warm run would have produced — batching changes *scheduling*, never
-    results.  ``modeled_seconds`` is the batched launch's own modeled
-    device time (stacked transfers + one amortized kernel launch per
-    plan step), which is what the service attributes to the device: it
-    is smaller than the sum of the members' solo timings by exactly the
-    amortized per-launch/latency overhead.  ``hit`` is the batch's
-    single plan-cache lookup outcome.
+    results.  ``modeled_seconds`` is the launch's own modeled device
+    time (for B >= 2, stacked transfers + one amortized kernel launch
+    per plan step), which is what the service attributes to the device:
+    it is smaller than the sum of the members' solo timings by exactly
+    the amortized per-launch/latency overhead.  ``hit`` is the batch's
+    single plan-cache lookup outcome (None on the uncached path).
     """
 
     reports: list[ExecutionReport]
     modeled_seconds: float
-    hit: bool
+    hit: Optional[bool]
 
 
 class DerivedFieldEngine:
@@ -349,152 +349,140 @@ class DerivedFieldEngine:
     def execute_prepared(self, prepared: PreparedExecution,
                          ) -> ExecutionReport:
         """Run a previously prepared request (see :meth:`prepare`)."""
-        tracer = self.tracer
-        start = time.perf_counter()
         if prepared.key is None:
-            with tracer.span("engine.execute", category="engine",
-                             strategy=self.strategy.name,
-                             device=self.device_spec.name,
-                             cached=False) as exec_span:
-                env = CLEnvironment(self.device_spec, dry_run=self.dry_run,
-                                    backend=self.env_backend, tracer=tracer)
-                anchor = tracer.now()
-                with tracer.span("execute", category="engine"):
-                    report = self.strategy.execute(
-                        prepared.compiled.network, prepared.bindings, env)
-                report.alloc = env.alloc_stats()
-                report.trace_id = exec_span.trace_id
-                self._trace_device_run(env, anchor)
-                self._observe_execute("uncached", start)
-                return report
-
-        with self._exec_lock:
-            with tracer.span("engine.execute", category="engine",
-                             strategy=self.strategy.name,
-                             device=self.device_spec.name,
-                             cached=True) as exec_span:
-                env = self._warm_environment()
-                env.reset_instrumentation()
-                plan, hit, disposition, codegen = self._obtain_plan(prepared)
-                tracer.note_plan(prepared.key, plan,
-                                 disposition=disposition)
-                anchor = tracer.now()
-                with tracer.span("plan.launch", category="engine"):
-                    report = plan.run(plan.rebind(prepared.bindings,
-                                                  prepared.sources), env)
-                report.cache = self.plan_cache.info(hit)
-                report.alloc = env.alloc_stats()
-                report.trace_id = exec_span.trace_id
-                report.codegen = codegen
-                exec_span.annotate(cache_hit=hit)
-                log = get_logger()
-                if log.debug_enabled:
-                    log.debug("engine.execute", tracer=tracer,
-                              device=self.device_spec.name,
-                              plan_key=str(prepared.key),
-                              cache=disposition)
-                self._trace_device_run(env, anchor)
-                self._observe_execute("hit" if hit else "miss", start)
-                return report
-
-    def _obtain_plan(self, prepared: PreparedExecution):
-        """Look up (or build and cache) the executable plan for a keyed
-        request; returns ``(plan, hit, disposition, codegen)``, where
-        ``codegen`` is the report's :class:`CodegenInfo` (None unless the
-        compiled backend is selected).  Callers hold ``_exec_lock``."""
-        tracer = self.tracer
-        with tracer.span("plan.lookup", category="engine") as look:
-            plan = self.plan_cache.get(prepared.key)
-            hit = plan is not None
-            look.annotate(hit=hit)
-        disposition = "memory-hit"
-        if plan is None:
-            if self.backend == "compiled":
-                plan, disposition = self._codegen_plan(prepared)
-            else:
-                with tracer.span("plan.build", category="engine"):
-                    plan = self.strategy.build_plan(
-                        prepared.compiled.network, prepared.bindings,
-                        prepared.n, prepared.dtype)
-            self.plan_cache.put(prepared.key, plan)
-        codegen = None
-        if self.backend == "compiled":
-            ran_compiled = isinstance(plan, CompiledPlan)
-            codegen = CodegenInfo(
-                backend="compiled" if ran_compiled else self.env_backend,
-                disposition=disposition, compiled=ran_compiled)
-        return plan, hit, disposition, codegen
+            return self._execute_uncached(prepared)
+        return self._execute_keyed([prepared]).reports[0]
 
     def execute_batch(self, batch: "Sequence[PreparedExecution]",
                       ) -> BatchExecution:
-        """Run several prepared requests sharing one plan key as a single
-        coalesced launch (the service dispatcher's micro-batching path).
+        """Run prepared requests sharing one plan key as one launch — the
+        service's only path, where a solo request is a batch of one and
+        runs on the warm environment exactly as :meth:`execute_prepared`.
 
-        Each member executes against a capture twin of the warm
-        environment — same context, allocator, and buffer pool, private
-        silent event log — so its report's output, Table II counts,
-        modeled timings, and memory peak are *identical* to its solo warm
-        run.  The captured per-member event streams are then coalesced
+        For B >= 2 each member executes against a capture twin of the
+        warm environment (same context, allocator, and buffer pool;
+        private silent event log), so its report is *identical* to its
+        solo warm run.  The captured streams are then coalesced
         (:func:`~repro.clsim.pipeline.coalesce_events`) into the batched
-        timeline the warm environment's log records once: transfers move
-        the stacked payload behind a single link latency, and each kernel
-        pays its launch overhead once for the whole batch.  That merged
-        timeline is the batch's ``modeled_seconds`` — the amortization the
-        per-launch-overhead perfmodel makes measurable.
+        timeline the warm log records once: transfers move the stacked
+        payload behind one link latency and each kernel pays its launch
+        overhead once.  That timeline is the batch's ``modeled_seconds``.
+        An unkeyed batch of one takes the uncached path.
         """
         if not batch:
             raise ValueError("execute_batch needs at least one request")
-        if len(batch) == 1:
-            report = self.execute_prepared(batch[0])
-            hit = report.cache.hit if report.cache is not None else False
-            return BatchExecution([report], report.timing.total, hit)
         key = batch[0].key
+        if key is None and len(batch) == 1:
+            report = self._execute_uncached(batch[0])
+            return BatchExecution([report], report.timing.total, None)
         if key is None or any(member.key != key for member in batch):
             raise HostInterfaceError(
                 "execute_batch needs cache-keyed requests sharing one "
                 "plan key; coalesce only same-key requests")
+        return self._execute_keyed(batch)
+
+    def _execute_uncached(self, prepared: PreparedExecution,
+                          ) -> ExecutionReport:
+        """Plan and run one request on a fresh environment."""
         tracer = self.tracer
         start = time.perf_counter()
+        with tracer.span("engine.execute", category="engine",
+                         strategy=self.strategy.name,
+                         device=self.device_spec.name,
+                         cached=False) as exec_span:
+            env = CLEnvironment(self.device_spec, dry_run=self.dry_run,
+                                backend=self.env_backend, tracer=tracer)
+            anchor = tracer.now()
+            with tracer.span("execute", category="engine"):
+                report = self.strategy.execute(
+                    prepared.compiled.network, prepared.bindings, env)
+            report.alloc = env.alloc_stats()
+            report.trace_id = exec_span.trace_id
+            self._trace_device_run(env, anchor)
+            self._observe_execute("uncached", start)
+            return report
+
+    def _execute_keyed(self, batch: "Sequence[PreparedExecution]",
+                       ) -> BatchExecution:
+        """Launch B >= 1 same-key requests on the warm environment with
+        one plan lookup (see :meth:`execute_batch`)."""
+        tracer = self.tracer
+        start = time.perf_counter()
+        batched = len(batch) > 1
+        name = "engine.execute_batch" if batched else "engine.execute"
+        attrs = {"batch": len(batch)} if batched else {"cached": True}
         with self._exec_lock:
-            with tracer.span("engine.execute_batch", category="engine",
+            with tracer.span(name, category="engine",
                              strategy=self.strategy.name,
                              device=self.device_spec.name,
-                             batch=len(batch)) as exec_span:
+                             **attrs) as exec_span:
                 env = self._warm_environment()
                 env.reset_instrumentation()
-                plan, hit, disposition, codegen = \
-                    self._obtain_plan(batch[0])
-                tracer.note_plan(batch[0].key, plan,
-                                 disposition=disposition)
+                head = batch[0]
+                with tracer.span("plan.lookup", category="engine") as look:
+                    plan = self.plan_cache.get(head.key)
+                    hit = plan is not None
+                    look.annotate(hit=hit)
+                disposition = "memory-hit"
+                if plan is None:
+                    if self.backend == "compiled":
+                        plan, disposition = self._codegen_plan(head)
+                    else:
+                        with tracer.span("plan.build", category="engine"):
+                            plan = self.strategy.build_plan(
+                                head.compiled.network, head.bindings,
+                                head.n, head.dtype)
+                    self.plan_cache.put(head.key, plan)
+                codegen = None
+                if self.backend == "compiled":
+                    ran_compiled = isinstance(plan, CompiledPlan)
+                    codegen = CodegenInfo(
+                        backend=("compiled" if ran_compiled
+                                 else self.env_backend),
+                        disposition=disposition, compiled=ran_compiled)
+                tracer.note_plan(head.key, plan, disposition=disposition)
                 reports: list[ExecutionReport] = []
                 captures = []
-                peak = 0
                 anchor = tracer.now()
                 with tracer.span("plan.launch", category="engine",
-                                 batch=len(batch)):
+                                 **(attrs if batched else {})):
                     for member in batch:
-                        cap = env.capture()
-                        env.context.allocator.reset_peak()
+                        run_env = env
+                        if batched:
+                            run_env = env.capture()
+                            captures.append(run_env.queue.log)
+                            env.context.allocator.reset_peak()
                         report = plan.run(
                             plan.rebind(member.bindings, member.sources),
-                            cap)
+                            run_env)
                         report.cache = self.plan_cache.info(hit)
-                        report.alloc = cap.alloc_stats()
+                        report.alloc = run_env.alloc_stats()
                         report.codegen = codegen
                         report.trace_id = exec_span.trace_id
-                        peak = max(peak, report.mem_high_water)
                         reports.append(report)
-                        captures.append(cap.queue.log.events)
-                # Record the batched timeline once, into the warm
-                # environment's observed log: process-wide transfer and
-                # kernel counters see what the device would actually do —
-                # one coalesced launch — not B solo replays.
-                for event in coalesce_events(captures, self.device_spec):
-                    env.queue.log.record(event)
-                env.context.allocator.reset_peak()
-                env.context.allocator.note_external_peak(peak)
-                modeled = env.timing().total
-                exec_span.annotate(cache_hit=hit, modeled_seconds=modeled)
+                exec_span.annotate(cache_hit=hit)
+                if batched:
+                    # Record the batched timeline once, into the warm
+                    # environment's observed log: process-wide transfer
+                    # and kernel counters see what the device would
+                    # actually do — one coalesced launch — not B solo
+                    # replays.
+                    for event in coalesce_events(captures,
+                                                 self.device_spec):
+                        env.queue.log.record(event)
+                    env.context.allocator.reset_peak()
+                    env.context.allocator.note_external_peak(
+                        max(r.mem_high_water for r in reports))
+                    modeled = env.timing().total
+                    exec_span.annotate(modeled_seconds=modeled)
+                else:
+                    modeled = reports[0].timing.total
+                log = get_logger()
+                if log.debug_enabled:
+                    log.debug("engine.execute", tracer=tracer,
+                              device=self.device_spec.name,
+                              plan_key=str(head.key),
+                              cache=disposition)
                 self._trace_device_run(env, anchor)
                 self._observe_execute("hit" if hit else "miss", start)
                 return BatchExecution(reports, modeled, hit)
@@ -506,7 +494,9 @@ class DerivedFieldEngine:
         the disk cache (``disk-hit``), a freshly generated-and-compiled
         sweep (``cold-codegen``), or — when codegen cannot lower the
         network — the interpreter plan (``interpreter-fallback``), which
-        is still cached so later runs take memory hits.
+        is still cached so later runs take memory hits.  A device OOM
+        in the capture rehearsal propagates: it is the request's failure,
+        not a codegen gap.
         """
         tracer = self.tracer
         network = prepared.compiled.network
@@ -538,6 +528,8 @@ class DerivedFieldEngine:
             try:
                 plan = compile_plan(base, network, prepared.bindings,
                                     self.device_spec)
+            except CLOutOfMemoryError:
+                raise       # the request does not fit; codegen is fine
             except Exception as exc:
                 self._m_codegen["fallbacks"].inc()
                 get_logger().warning(

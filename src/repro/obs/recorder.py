@@ -79,7 +79,9 @@ class SpanSummary:
 
 
 class DeviceEventBatch:
-    """One bridged run's device events, kept raw until someone looks."""
+    """One bridged run's device events, kept raw until someone looks.
+    ``anchor`` is relative to the recorder's epoch, like
+    :attr:`DeviceSpan.start`."""
 
     __slots__ = ("device", "lane", "anchor", "trace_id", "events")
 
@@ -207,14 +209,16 @@ class RequestRecord:
 
 class _RecordView:
     """Adapter giving one :class:`RequestRecord` the read surface the
-    Chrome exporter expects of a tracer (spans/device_spans/counters)."""
+    Chrome exporter expects of a tracer (spans/device_spans/counters and
+    the epoch its device lanes are stamped against)."""
 
-    __slots__ = ("spans", "device_spans", "counters")
+    __slots__ = ("spans", "device_spans", "counters", "epoch")
 
-    def __init__(self, record: RequestRecord):
+    def __init__(self, record: RequestRecord, epoch: float):
         self.spans = tuple(record.spans)
         self.device_spans = tuple(record.device_spans)
         self.counters = ()
+        self.epoch = epoch
 
 
 class FlightRecorder(Tracer):
@@ -296,8 +300,8 @@ class FlightRecorder(Tracer):
         if trace_id is None:
             span = self.current()
             trace_id = span.trace_id if span is not None else None
-        batch = DeviceEventBatch(device, lane, anchor, trace_id,
-                                 tuple(events))
+        batch = DeviceEventBatch(device, lane, anchor - self.epoch,
+                                 trace_id, tuple(events))
         if self.retain:
             spans = batch.device_spans()
             with self._lock:
@@ -379,7 +383,7 @@ class FlightRecorder(Tracer):
 
     def trace_view(self, record: RequestRecord) -> _RecordView:
         """A tracer-shaped view of one record for the Chrome exporter."""
-        return _RecordView(record)
+        return _RecordView(record, self.epoch)
 
     def stats(self) -> dict:
         with self._rlock:

@@ -9,9 +9,11 @@ thing degrades predictably under overload instead of falling over.
 Request path::
 
     submit() ──prepare/validate──► AdmissionQueue (bounded; rejects past
-        depth) ──dispatcher──► LeastLoadedScheduler (plan-cache-locality
-        affinity) ──► DeviceWorker inbox ──► engine.execute_prepared()
-        ──► ServiceRequest resolves; ServiceMetrics updated
+        depth) ──dispatcher (coalesces same-key requests)──►
+        LeastLoadedScheduler (plan-cache-locality affinity) ──►
+        DeviceWorker inbox ──► engine.execute_batch() (a solo request is
+        a batch of one) ──► ServiceRequest resolves; ServiceMetrics
+        updated
 
 Guarantees:
 

@@ -9,19 +9,26 @@ thread-safe :class:`~repro.strategies.plancache.PlanCache`.  The split
 mirrors real multi-device OpenCL: contexts and queues are per-device,
 compiled programs are reusable wherever the device matches.
 
-Workers run a take → checkpoint → execute loop:
+The dispatcher hands a worker same-plan batches through
+:meth:`DeviceWorker.assign_batch`; a solo request is a batch of one.  The
+worker runs each batch through one take → checkpoint → launch loop:
 
-* **checkpoint** — a cooperatively-cancelled or deadline-expired request
-  resolves (``CANCELLED`` / ``TIMED_OUT``) without touching the device;
-* **execute** — the request's :class:`PreparedExecution` is re-keyed for
-  this worker's device (``PlanKey.for_device``) and run through
-  ``engine.execute_prepared``: plan-cache lookup, launch, readback;
+* **checkpoint** — a cooperatively-cancelled or deadline-expired member
+  resolves (``CANCELLED`` / ``TIMED_OUT``) without touching the device
+  or holding the rest of the batch;
+* **launch** — the remaining members' :class:`PreparedExecution` objects
+  are re-keyed for this worker's device (``PlanKey.for_device``) and run
+  by one ``engine.execute_batch`` call: one plan-cache lookup, then each
+  member's launch and readback.  A batch of one runs on the warm
+  environment directly, exactly like ``engine.execute_prepared``;
 * **failure isolation** — any exception (device OOM above all) resolves
-  that one request as ``FAILED`` and the worker keeps serving; strategy
-  ``try/finally`` blocks have already released the request's buffers.
+  every member of that launch as ``FAILED`` and the worker keeps
+  serving; strategy ``try/finally`` blocks have already released the
+  buffers.  Every member settles exactly once, whatever the launch does.
 
-Busy wall-seconds and modeled device-seconds are reported per execution,
-feeding the service's utilization and modeled-throughput metrics.
+Busy wall-seconds and modeled device-seconds are split evenly across a
+launch's members, feeding the service's utilization and
+modeled-throughput metrics.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ class DeviceWorker:
         self.name = f"{index}:{token}"
         self.metrics = metrics
         self._on_done = on_done
-        self._inbox: "deque[ServiceRequest]" = deque()
+        self._inbox: "deque[list[ServiceRequest]]" = deque()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._outstanding = 0
@@ -88,21 +95,11 @@ class DeviceWorker:
     def start(self) -> None:
         self._thread.start()
 
-    def assign(self, request: ServiceRequest) -> None:
-        """Dispatcher hands over a request (worker inboxes are unbounded;
-        global admission control already bounded the total)."""
-        request.mark_dispatched()
-        with self._wake:
-            self._inbox.append(request)
-            self._outstanding += 1
-            self._wake.notify()
-
     def assign_batch(self, requests: "list[ServiceRequest]") -> None:
-        """Dispatcher hands over a coalesced same-plan batch.  The batch
-        travels the inbox as one unit so its members launch together."""
-        if len(requests) == 1:
-            self.assign(requests[0])
-            return
+        """Dispatcher hands over a same-plan batch (a solo request is a
+        batch of one).  The batch travels the inbox as one unit so its
+        members launch together; inboxes are unbounded because global
+        admission control already bounded the total."""
         for request in requests:
             request.mark_dispatched()
         with self._wake:
@@ -113,16 +110,13 @@ class DeviceWorker:
     def stop(self, drain: bool = True) -> None:
         """Stop the thread; with ``drain`` the inbox is served first,
         otherwise leftover requests resolve ``CANCELLED``."""
+        leftovers = []
         with self._wake:
             self._stopping = True
             if not drain:
-                leftovers = []
-                for item in self._inbox:
-                    leftovers.extend(item if isinstance(item, list)
-                                     else [item])
+                for batch in self._inbox:
+                    leftovers.extend(batch)
                 self._inbox.clear()
-            else:
-                leftovers = []
             self._wake.notify_all()
         for request in leftovers:
             with self._lock:
@@ -143,142 +137,86 @@ class DeviceWorker:
                     if self._stopping:
                         return
                     continue
-                item = self._inbox.popleft()
-            if isinstance(item, list):
-                self._process_batch(item)
-            else:
-                self._process(item)
+                batch = self._inbox.popleft()
+            self._process(batch)
 
-    def _process(self, request: ServiceRequest) -> None:
+    def _process(self, batch: "list[ServiceRequest]") -> None:
+        """Checkpoint each member, launch the rest through one
+        :meth:`DerivedFieldEngine.execute_batch` call, and resolve each
+        with its own solo-identical report (module docstring)."""
         try:
-            if request.cancel_requested:
-                request.resolve_cancelled()
+            runnable: list[ServiceRequest] = []
+            for request in batch:
+                if request.cancel_requested:
+                    request.resolve_cancelled()
+                elif request.deadline_expired():
+                    request.resolve_timed_out("waiting for a device worker")
+                else:
+                    request.mark_running()
+                    runnable.append(request)
+            if not runnable:
                 return
-            if request.deadline_expired():
-                request.resolve_timed_out("waiting for a device worker")
-                return
-            request.mark_running()
-            prepared = request.prepared
-            if prepared.key is not None:
-                prepared = replace(prepared,
-                                   key=self.device_key(prepared.key))
-            self.metrics.record_batch(1)
+            prepared_list = [
+                r.prepared if r.prepared.key is None
+                else replace(r.prepared, key=self.device_key(r.prepared.key))
+                for r in runnable]
+            size = len(runnable)
+            attrs = ({"request": runnable[0].id} if size == 1
+                     else {"batch": size})
+            self.metrics.record_batch(size)
             start = time.perf_counter()
             try:
-                # The request's root span lives on the submitting thread's
-                # trace; parenting explicitly carries its trace id across
-                # the queue into this worker thread.
+                # The head request's root span lives on the submitting
+                # thread's trace; parenting explicitly carries its trace
+                # id across the queue into this worker thread.
                 with self.engine.tracer.span("worker.execute",
                                              category="service",
-                                             parent=request.span,
-                                             worker=self.name,
-                                             request=request.id):
-                    report = self.engine.execute_prepared(prepared)
+                                             parent=runnable[0].span,
+                                             worker=self.name, **attrs):
+                    result = self.engine.execute_batch(prepared_list)
             except BaseException as exc:
-                busy = time.perf_counter() - start
-                self.metrics.record_execution(self.name, busy, 0.0,
-                                              cache_hit=None, failed=True)
-                get_logger().error("worker.execute_failed",
-                                   device=self.name, request=request.id,
-                                   trace_id=request.trace_id,
-                                   expression=request.expression,
-                                   error=f"{type(exc).__name__}: {exc}")
-                request.resolve_failed(exc, device=self.name)
+                busy = (time.perf_counter() - start) / size
+                for request in runnable:
+                    self.metrics.record_execution(self.name, busy, 0.0,
+                                                  cache_hit=None,
+                                                  failed=True)
+                    get_logger().error("worker.execute_failed",
+                                       device=self.name,
+                                       request=request.id,
+                                       trace_id=request.trace_id,
+                                       expression=request.expression,
+                                       error=f"{type(exc).__name__}: {exc}")
+                    request.resolve_failed(exc, device=self.name)
                 return
-            busy = time.perf_counter() - start
-            report.trace_id = request.trace_id
-            hit = report.cache.hit if report.cache is not None else None
-            self.metrics.record_execution(self.name, busy,
-                                          report.timing.total,
-                                          cache_hit=hit)
-            if request.deadline_expired():
-                # Finished after its deadline: the client contract is
-                # already broken, so the request counts as timed out (the
-                # busy time still counts against this device — the work
-                # did happen).  The report rides along for observability:
-                # result() still raises, but debug bundles keep the
-                # evidence of what the late execution did.
-                request.resolve_timed_out("during execution",
-                                          report=report)
-                return
-            request.resolve_served(report, device=self.name)
+            busy = (time.perf_counter() - start) / size
+            modeled = result.modeled_seconds / size
+            for position, (request, report) in enumerate(
+                    zip(runnable, result.reports)):
+                # Plan-cache attribution: the launch performed one real
+                # lookup (charged to its first member); every later
+                # member reused the in-hand plan — a hit by
+                # construction.  One lookup per request keeps the
+                # service's hit-rate denominator meaningful under
+                # batching.
+                hit = result.hit if position == 0 else True
+                report.trace_id = request.trace_id
+                self.metrics.record_execution(self.name, busy, modeled,
+                                              cache_hit=hit)
+                if request.deadline_expired():
+                    # Finished after its deadline: the client contract
+                    # is already broken, so the request counts as timed
+                    # out (the busy time still counts against this
+                    # device — the work did happen).  The report rides
+                    # along for observability: result() still raises,
+                    # but debug bundles keep the evidence of what the
+                    # late execution did.
+                    request.resolve_timed_out("during execution",
+                                              report=report)
+                else:
+                    request.resolve_served(report, device=self.name)
         finally:
-            self._settle(request)
-
-    def _process_batch(self, batch: "list[ServiceRequest]") -> None:
-        """Launch a coalesced same-plan batch through
-        :meth:`DerivedFieldEngine.execute_batch`.
-
-        Each member is still checkpointed individually (a cancelled or
-        deadline-expired member drops out without holding the batch), and
-        each resolves with its *own* solo-identical report.  The device's
-        busy wall-seconds and the batch's coalesced modeled seconds are
-        attributed evenly across the members, so device utilization and
-        modeled throughput reflect the amortized launch, not B solo runs.
-        """
-        runnable: list[ServiceRequest] = []
-        for request in batch:
-            if request.cancel_requested:
-                request.resolve_cancelled()
+            for request in batch:
                 self._settle(request)
-            elif request.deadline_expired():
-                request.resolve_timed_out("waiting for a device worker")
-                self._settle(request)
-            else:
-                runnable.append(request)
-        if not runnable:
-            return
-        if len(runnable) == 1:
-            self._process(runnable[0])
-            return
-        for request in runnable:
-            request.mark_running()
-        prepared_list = []
-        for request in runnable:
-            prepared = request.prepared
-            if prepared.key is not None:
-                prepared = replace(prepared,
-                                   key=self.device_key(prepared.key))
-            prepared_list.append(prepared)
-        start = time.perf_counter()
-        try:
-            with self.engine.tracer.span("worker.execute",
-                                         category="service",
-                                         parent=runnable[0].span,
-                                         worker=self.name,
-                                         batch=len(runnable)):
-                result = self.engine.execute_batch(prepared_list)
-        except BaseException as exc:
-            busy = (time.perf_counter() - start) / len(runnable)
-            get_logger().error("worker.batch_failed", device=self.name,
-                               batch=len(runnable),
-                               error=f"{type(exc).__name__}: {exc}")
-            for request in runnable:
-                self.metrics.record_execution(self.name, busy, 0.0,
-                                              cache_hit=None, failed=True)
-                request.resolve_failed(exc, device=self.name)
-                self._settle(request)
-            return
-        busy = (time.perf_counter() - start) / len(runnable)
-        modeled = result.modeled_seconds / len(runnable)
-        self.metrics.record_batch(len(runnable))
-        for position, (request, report) in enumerate(zip(runnable,
-                                                         result.reports)):
-            # Plan-cache attribution: the batch performed one real lookup
-            # (charged to its first member); every later member reused
-            # the in-hand plan — a hit by construction.  One lookup per
-            # request keeps the service's hit-rate denominator meaningful
-            # under batching.
-            hit = result.hit if position == 0 else True
-            report.trace_id = request.trace_id
-            self.metrics.record_execution(self.name, busy, modeled,
-                                          cache_hit=hit)
-            if request.deadline_expired():
-                request.resolve_timed_out("during execution",
-                                          report=report)
-            else:
-                request.resolve_served(report, device=self.name)
-            self._settle(request)
 
     def _settle(self, request: ServiceRequest) -> None:
         with self._lock:

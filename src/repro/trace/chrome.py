@@ -41,8 +41,11 @@ def chrome_trace_events(tracer: Tracer) -> list[dict]:
     device_spans = tracer.device_spans
     counters = tracer.counters
 
+    # Device lanes are stamped relative to the tracer's epoch; host spans
+    # and counters carry raw clock values.
+    origin = getattr(tracer, "epoch", 0.0)
     starts = ([s.start_time for s in spans if s.start_time is not None]
-              + [d.start for d in device_spans]
+              + [origin + d.start for d in device_spans]
               + [c.ts for c in counters])
     epoch = min(starts) if starts else 0.0
 
@@ -98,7 +101,7 @@ def chrome_trace_events(tracer: Tracer) -> list[dict]:
             args["trace_id"] = dspan.trace_id
         events.append({
             "name": dspan.name, "cat": dspan.category, "ph": "X",
-            "ts": us(dspan.start), "dur": dspan.duration * 1e6,
+            "ts": us(origin + dspan.start), "dur": dspan.duration * 1e6,
             "pid": pid, "tid": tid, "args": args,
         })
 

@@ -51,10 +51,13 @@ _CURRENT = object()
 class DeviceSpan:
     """One simulated device event on the trace timeline.
 
-    ``start`` is in the tracer's wall clock (anchor + the event's modeled
-    queue offset) and ``duration`` is the event's *modeled* seconds — the
-    device lanes show what the performance model attributes, laid out at
-    the instant the launch actually ran.
+    ``start`` is seconds since the tracer's ``epoch`` (the launch anchor
+    + the event's modeled queue offset) and ``duration`` is the event's
+    *modeled* seconds — the device lanes show what the performance model
+    attributes, laid out at the instant the launch actually ran.  Small
+    origin-relative stamps keep consecutive serial events abutting
+    exactly, which absolute clock values (ulp ~7e-12 s after a long host
+    uptime) cannot.
     """
 
     device: str
@@ -226,8 +229,9 @@ class Tracer:
                           anchor: Optional[float] = None, lane: str = "",
                           trace_id: Optional[str] = None) -> int:
         """Bridge :class:`~repro.clsim.events.Event` records into device
-        lanes.  Each event lands at ``anchor + event.ts_seconds`` with its
-        modeled duration; ``lane`` (usually the worker/thread name)
+        lanes.  Each event lands at ``anchor + event.ts_seconds``, stamped
+        relative to :attr:`epoch`, with its modeled duration; ``lane``
+        (usually the worker/thread name)
         prefixes the per-category lane so concurrent executions on the
         same device model stay distinguishable.  Returns the number of
         spans added."""
@@ -236,6 +240,7 @@ class Tracer:
         if trace_id is None:
             span = self.current()
             trace_id = span.trace_id if span is not None else None
+        origin = anchor - self.epoch
         added = []
         for event in events:
             category = event.kind.value
@@ -244,7 +249,7 @@ class Tracer:
                 lane=f"{lane}/{category}" if lane else category,
                 name=event.name or category,
                 category=category,
-                start=anchor + (event.ts_seconds or 0.0),
+                start=origin + (event.ts_seconds or 0.0),
                 duration=event.sim_seconds,
                 nbytes=event.nbytes,
                 trace_id=trace_id,

@@ -2,13 +2,17 @@
 the interpreter plan instead — correct output, a counted fallback, and a
 report that says exactly what happened."""
 
+import dataclasses
+
 import pytest
 
 import repro.host.engine as engine_mod
 from repro.analysis import vortex
-from repro.errors import CodegenError
+from repro.clsim.device import INTEL_X5660_CPU, MIB
+from repro.errors import CLOutOfMemoryError, CodegenError
 from repro.host.engine import DerivedFieldEngine
 from repro.strategies import CodegenInfo, ExecutionReport
+from repro.workloads import SubGrid, make_fields
 
 
 @pytest.fixture
@@ -47,6 +51,20 @@ class TestInterpreterFallback:
         assert warm.codegen.disposition == "memory-hit"
         assert not warm.codegen.compiled
         assert registry.value("repro_codegen_fallbacks_total") == 1
+
+    def test_device_oom_is_not_a_fallback(self, registry):
+        tiny = dataclasses.replace(INTEL_X5660_CPU, global_mem_bytes=MIB)
+        big = make_fields(SubGrid(32, 32, 32), seed=5)
+        engine = DerivedFieldEngine(device=tiny, strategy="fusion",
+                                    backend="compiled")
+        with pytest.raises(CLOutOfMemoryError):
+            engine.execute(vortex.Q_CRITERION, big)
+        # The request failed on memory, exactly as the interpreter would;
+        # nothing was counted as a codegen fallback or cached.
+        assert registry.value("repro_codegen_fallbacks_total") == 0
+        assert registry.value("repro_codegen_compiles_total") == 0
+        assert len(engine.plan_cache) == 0
+
 
 class TestReportRoundTrip:
     def test_codegen_info_round_trips_json(self, small_fields):

@@ -128,3 +128,46 @@ class TestWorkerOOM:
         outcomes = snapshot["requests"]["outcomes"]
         assert outcomes["failed"] == 1
         assert outcomes["served"] == 1
+
+    def test_oom_fails_every_member_of_a_coalesced_batch(self):
+        tiny = dataclasses.replace(INTEL_X5660_CPU,
+                                   global_mem_bytes=1 * MIB)
+        big = make_fields(SubGrid(32, 32, 32), seed=5)
+        small = make_fields(SubGrid(4, 4, 6), seed=5)
+        service = DerivedFieldService(devices=(tiny,), max_batch=4,
+                                      start=False)
+        try:
+            doomed = [service.submit(EXPRESSIONS["q_criterion"],
+                                     case_inputs(big, "q_criterion"))
+                      for _ in range(4)]
+            service.start()
+            for handle in doomed:
+                with pytest.raises(CLOutOfMemoryError):
+                    handle.result(timeout=10.0)
+                assert handle.status is RequestStatus.FAILED
+            # One same-key launch of four, counted like any other launch.
+            batching = service.snapshot()["batching"]
+            assert batching["launches"] == 1
+            assert batching["coalesced_launches"] == 1
+            assert batching["coalesced_requests"] == 4
+
+            env = service.workers[0].engine.environment
+            assert env is not None
+            assert env.alloc_stats().live_bytes == 0
+
+            # a probe request is still served
+            output = service.derive(
+                EXPRESSIONS["velocity_magnitude"],
+                case_inputs(small, "velocity_magnitude"))
+            assert np.all(np.isfinite(output))
+        finally:
+            service.close()
+        snapshot = service.snapshot()
+        requests = snapshot["requests"]
+        assert requests["offered"] == \
+            requests["resolved"] + requests["in_flight"]
+        assert requests["in_flight"] == 0
+        assert requests["outcomes"]["failed"] == 4
+        assert requests["outcomes"]["served"] == 1
+        assert snapshot["devices"]["0:cpu"]["failed"] == 4
+        assert snapshot["batching"]["launches"] == 2

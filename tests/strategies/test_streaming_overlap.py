@@ -8,6 +8,8 @@ identical to serial chunked execution, the win appears purely as
 Chrome-trace device lanes.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,14 @@ class TestTraceLanes:
         assert overlapping, "no h2d transfer overlaps any kernel lane span"
 
     def test_serial_lanes_never_overlap(self, fields):
-        tracer = Tracer()
-        run(fields, depth=1, tracer=tracer)
-        spans = sorted(tracer.device_spans, key=lambda s: s.start)
-        for before, after in zip(spans, spans[1:]):
-            assert after.start >= before.start + before.duration - 1e-12
+        # The offset clock stands in for a host with a long uptime, where
+        # raw perf_counter values are ~4e4 s and their ulp (~7e-12 s) is
+        # coarser than the tolerance below.
+        for clock in (time.perf_counter,
+                      lambda: time.perf_counter() + 4e4):
+            tracer = Tracer(clock=clock)
+            run(fields, depth=1, tracer=tracer)
+            spans = sorted(tracer.device_spans, key=lambda s: s.start)
+            for before, after in zip(spans, spans[1:]):
+                assert after.start >= \
+                    before.start + before.duration - 1e-12

@@ -153,7 +153,9 @@ class TestCountersAndDeviceSpans:
             Event(EventKind.DEV_WRITE, "u", 64, 1e-4, ts_seconds=0.0),
             Event(EventKind.KERNEL, "k_add", 64, 2e-4, ts_seconds=1e-4),
         ]
-        n = tracer.add_device_events("gpu0", events, anchor=10.0,
+        # Lanes are stamped relative to the tracer's epoch.
+        n = tracer.add_device_events("gpu0", events,
+                                     anchor=tracer.epoch + 10.0,
                                      lane="worker-1")
         assert n == 2
         write, kernel = tracer.device_spans
