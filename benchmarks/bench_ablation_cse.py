@@ -21,7 +21,7 @@ MODES = {
 
 def counts_for(mode, strategy="staged"):
     engine = DerivedFieldEngine(device="cpu", strategy=strategy,
-                                dry_run=True, **MODES[mode])
+                                **MODES[mode])
     compiled = engine.compile(Q_CRITERION)
     from repro.strategies import get_strategy, plan
     from repro.workloads import SubGrid, make_shapes

@@ -39,8 +39,7 @@ def wide_expression(width: int) -> str:
 
 
 def modeled(width: int, strategy, device):
-    engine = DerivedFieldEngine(device=device, strategy="fusion",
-                                dry_run=True)
+    engine = DerivedFieldEngine(device=device, strategy="fusion")
     compiled = engine.compile(wide_expression(width))
     shapes = {"u": ArraySpec((N_CELLS,), np.dtype(np.float64))}
     env = CLEnvironment(device, dry_run=True)

@@ -40,8 +40,7 @@ class RetainAllStagedStrategy(StagedStrategy):
 
 
 def peak_for(strategy_cls, expression):
-    engine = DerivedFieldEngine(device="cpu", strategy="staged",
-                                dry_run=True)
+    engine = DerivedFieldEngine(device="cpu", strategy="staged")
     compiled = engine.compile(EXPRESSIONS[expression])
     shapes = {k: v
               for k, v in make_shapes(TABLE1_SUBGRIDS[0]).items()

@@ -7,9 +7,10 @@ exactly that: it refuses allocations beyond the device's global memory
 (the mechanism behind the M2050's failed test cases) and records the
 high-water mark.
 
-Buffers may be *dry*: allocated and tracked without backing storage.  The
-full-scale paper grids (up to 2.6 GB per field) are planned this way, while
-scaled-down runs attach real NumPy arrays.
+Every :class:`Buffer` carries real NumPy storage.  The full-scale paper
+grids (up to 2.6 GB per field) are planned without any buffers: a plan's
+modeled walk (:meth:`~repro.strategies.plancache.ExecutablePlan.model`)
+reserves their sizes on an :class:`Allocator` directly.
 
 :class:`BufferPool` is the warm-execution extension (PyOpenCL ships the
 same idea as ``pyopencl.tools.MemoryPool``): released buffers park their
@@ -76,8 +77,8 @@ class Allocator:
         # bound once here; per-device gauges reflect the most recently
         # active allocator on that device label (one warm engine per
         # device in every supported deployment).  ``registry`` overrides
-        # the process-wide registry — codegen's capture environment
-        # passes NULL_REGISTRY so rehearsal runs stay unmetered.
+        # the process-wide registry — codegen's trace capture passes
+        # NULL_REGISTRY so its modeled walk stays unmetered.
         if registry is None:
             registry = get_registry()
         device_label = {"device": device.name}
@@ -134,8 +135,8 @@ class Allocator:
     def note_external_peak(self, nbytes: int) -> None:
         """Raise the high-water mark to a peak modeled outside this
         allocator.  The compiled executor backend never allocates device
-        buffers on a warm launch; it reports the peak its interpreter
-        rehearsal captured so Fig 6 accounting is unchanged."""
+        buffers on a warm launch; it reports the peak the base plan's
+        modeled walk captured so Fig 6 accounting is unchanged."""
         if nbytes > self.peak_bytes:
             self.peak_bytes = nbytes
             self._m_peak.set(self.peak_bytes)
@@ -223,8 +224,7 @@ class BufferPool:
     def capacity_for(self, nbytes: int) -> int:
         return size_class(nbytes)
 
-    def acquire(self, nbytes: int, label: str = "", *,
-                dry: bool = False) -> "Optional[Buffer]":
+    def acquire(self, nbytes: int, label: str = "") -> "Optional[Buffer]":
         """Return a recycled buffer for ``nbytes``, or None on a miss."""
         capacity = self.capacity_for(nbytes)
         with self._lock:
@@ -239,7 +239,7 @@ class BufferPool:
                 self._m_pooled.set(self.pooled_bytes)
                 return Buffer._adopt(self.allocator, nbytes,
                                      capacity=capacity, label=label,
-                                     dry=dry, pool=self)
+                                     pool=self)
             self.misses += 1
             self._m_misses.inc()
             return None
@@ -272,8 +272,8 @@ class BufferPool:
 class Buffer:
     """A simulated ``cl.Buffer``.
 
-    ``data`` is the device-side copy as a NumPy array, or ``None`` for a dry
-    buffer.  Release is explicit (:meth:`release`) — the execution
+    ``data`` is the device-side copy as a NumPy array (``None`` until the
+    first write).  Release is explicit (:meth:`release`) — the execution
     strategies free intermediates as reference counts drop, which is what
     produces their distinct memory footprints.
 
@@ -284,29 +284,27 @@ class Buffer:
     """
 
     def __init__(self, allocator: Allocator, nbytes: int, *,
-                 label: str = "", dry: bool = False,
-                 capacity: Optional[int] = None,
+                 label: str = "", capacity: Optional[int] = None,
                  pool: Optional[BufferPool] = None):
         capacity = nbytes if capacity is None else max(capacity, nbytes)
         allocator.reserve(capacity, label)
-        self._setup(allocator, nbytes, capacity, label, dry, pool)
+        self._setup(allocator, nbytes, capacity, label, pool)
 
     @classmethod
     def _adopt(cls, allocator: Allocator, nbytes: int, *, capacity: int,
-               label: str, dry: bool, pool: BufferPool) -> "Buffer":
+               label: str, pool: BufferPool) -> "Buffer":
         """Construct over an already-reserved pooled capacity (no
         allocator traffic — the pool hit path)."""
         buf = cls.__new__(cls)
-        buf._setup(allocator, nbytes, capacity, label, dry, pool)
+        buf._setup(allocator, nbytes, capacity, label, pool)
         return buf
 
     def _setup(self, allocator: Allocator, nbytes: int, capacity: int,
-               label: str, dry: bool, pool: Optional[BufferPool]) -> None:
+               label: str, pool: Optional[BufferPool]) -> None:
         self._allocator = allocator
         self.nbytes = nbytes
         self.capacity = capacity
         self.label = label
-        self.dry = dry
         self._pool = pool
         self.data: Optional[np.ndarray] = None
         self._released = False
@@ -318,8 +316,6 @@ class Buffer:
     def set_data(self, array: np.ndarray) -> None:
         """Attach the device-side copy (host->device write)."""
         self._check_alive()
-        if self.dry:
-            return
         if array.nbytes != self.nbytes:
             raise CLInvalidOperation(
                 f"buffer {self.label!r} is {self.nbytes} B but host array "
@@ -331,9 +327,6 @@ class Buffer:
     def get_data(self) -> np.ndarray:
         """Return the device-side copy (device->host read)."""
         self._check_alive()
-        if self.dry:
-            raise CLInvalidOperation(
-                f"buffer {self.label!r} is dry; no data to read")
         if self.data is None:
             raise CLInvalidOperation(
                 f"buffer {self.label!r} read before any write")
@@ -357,6 +350,5 @@ class Buffer:
                 f"operation on released buffer {self.label!r}")
 
     def __repr__(self) -> str:
-        state = "released" if self._released else (
-            "dry" if self.dry else "live")
+        state = "released" if self._released else "live"
         return f"Buffer({self.label!r}, {self.nbytes} B, {state})"

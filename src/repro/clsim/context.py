@@ -1,8 +1,10 @@
-"""Simulated OpenCL context: a device binding plus its memory allocator."""
+"""Simulated OpenCL context: a device binding plus its memory allocator.
+
+Every buffer a context creates holds real storage.  A dry run creates
+none: the plan's modeled walk reserves sizes on the allocator directly.
+"""
 
 from __future__ import annotations
-
-import numpy as np
 
 from .buffer import Allocator, Buffer, BufferPool
 from .device import DeviceSpec
@@ -12,11 +14,6 @@ __all__ = ["Context"]
 
 class Context:
     """Owns the allocator for one simulated device.
-
-    ``dry_run=True`` makes every buffer created through this context dry
-    (tracked but storage-free), which is how full-paper-scale experiments
-    are planned without 2.6 GB arrays: the strategies run unmodified and
-    the allocator, event log, and performance model still see exact sizes.
 
     ``backend`` selects how kernels execute: ``"vectorized"`` (default)
     runs each kernel's NumPy executor; ``"interpreted"`` parses the
@@ -33,15 +30,13 @@ class Context:
 
     BACKENDS = ("vectorized", "interpreted")
 
-    def __init__(self, device: DeviceSpec, *, dry_run: bool = False,
-                 backend: str = "vectorized", pooling: bool = False,
-                 registry=None):
+    def __init__(self, device: DeviceSpec, *, backend: str = "vectorized",
+                 pooling: bool = False, registry=None):
         if backend not in self.BACKENDS:
             from ..errors import CLError
             raise CLError(f"unknown backend {backend!r}; "
                           f"choose from {self.BACKENDS}")
         self.device = device
-        self.dry_run = dry_run
         self.backend = backend
         self.allocator = Allocator(device, registry=registry)
         self.pool = (BufferPool(self.allocator, registry=registry)
@@ -50,17 +45,13 @@ class Context:
     def create_buffer(self, nbytes: int, label: str = "") -> Buffer:
         """Allocate device global memory (raises CLOutOfMemoryError)."""
         if self.pool is not None:
-            buf = self.pool.acquire(nbytes, label, dry=self.dry_run)
+            buf = self.pool.acquire(nbytes, label)
             if buf is not None:
                 return buf
             return Buffer(self.allocator, nbytes, label=label,
-                          dry=self.dry_run,
                           capacity=self.pool.capacity_for(nbytes),
                           pool=self.pool)
-        return Buffer(self.allocator, nbytes, label=label, dry=self.dry_run)
-
-    def buffer_like(self, array: np.ndarray, label: str = "") -> Buffer:
-        return self.create_buffer(array.nbytes, label)
+        return Buffer(self.allocator, nbytes, label=label)
 
     @property
     def mem_in_use(self) -> int:

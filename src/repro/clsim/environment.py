@@ -20,7 +20,7 @@ import numpy as np
 from .buffer import AllocationStats, Buffer, BufferPool
 from .context import Context
 from .device import DeviceSpec, DeviceType
-from .events import Event, EventCounts, EventKind
+from .events import EventCounts, EventKind
 from .platform import find_device
 from .queue import CommandQueue
 from ..trace import NULL_TRACER
@@ -55,7 +55,13 @@ class TimingSummary:
 
 
 class CLEnvironment:
-    """One device's context, queue, and instrumentation."""
+    """One device's context, queue, and instrumentation.
+
+    ``dry_run=True`` plans full-paper-scale shapes: a plan launched here
+    runs its modeled walk (:meth:`~repro.strategies.plancache.
+    ExecutablePlan.model`) on this allocator and event log — a live run's
+    events, peak and out-of-memory failures, without data.
+    """
 
     def __init__(self, device: str | DeviceType | DeviceSpec = "gpu", *,
                  dry_run: bool = False, backend: str = "vectorized",
@@ -68,14 +74,13 @@ class CLEnvironment:
         # The owning engine's tracer (strategies read it for launch-phase
         # spans); NULL_TRACER keeps the hot path allocation-free.
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.context = Context(self.device, dry_run=dry_run,
-                               backend=backend, pooling=pooling,
-                               registry=registry)
+        self.context = Context(self.device, backend=backend,
+                               pooling=pooling, registry=registry)
         self.queue = CommandQueue(self.context, registry=registry)
 
     def capture(self) -> "CLEnvironment":
         """A capture twin of this environment: the *same* context
-        (allocator, buffer pool, dry-run mode — so buffers and pooled
+        (allocator, buffer pool, dry-run flag — so buffers and pooled
         reuse behave exactly as a run on this environment would) but a
         private, registry-silent command queue.
 
@@ -104,15 +109,6 @@ class CLEnvironment:
         """Allocate a buffer and enqueue the host->device write."""
         buf = self.context.create_buffer(array.nbytes, label)
         self.queue.enqueue_write_buffer(buf, array)
-        return buf
-
-    def upload_shape(self, nbytes: int, label: str = "") -> Buffer:
-        """Dry-run twin of :meth:`upload`: allocate and count the write
-        event without host data (used at full paper scale)."""
-        buf = self.context.create_buffer(nbytes, label)
-        self.queue.log.record(Event(
-            EventKind.DEV_WRITE, label, nbytes,
-            sim_seconds=self.queue.xfer_seconds(nbytes)))
         return buf
 
     # -- instrumentation ----------------------------------------------------

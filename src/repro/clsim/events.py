@@ -70,7 +70,7 @@ class EventLog:
     cursor: float = 0.0
     # Record hook, called as ``observer(kind, count, nbytes)``: the
     # command queue installs a registry observer here so every event —
-    # including direct records like dry-run ``upload_shape`` — lands in
+    # including a plan's modeled walk on a dry environment — lands in
     # the process-wide transfer/kernel counters (DESIGN.md §9) no matter
     # which call site produced it.
     observer: Optional[Callable[[EventKind, int, int], None]] = None

@@ -42,8 +42,7 @@ class Kernel:
     def run(self, args: Sequence[object]) -> tuple[Optional[np.ndarray], float]:
         """Execute the NumPy executor; returns (result, wall_seconds).
 
-        A kernel without an executor (dry-run planning constructs) returns
-        ``(None, 0.0)``.
+        A kernel without an executor returns ``(None, 0.0)``.
         """
         if self.executor is None:
             return None, 0.0

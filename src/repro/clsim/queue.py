@@ -9,7 +9,7 @@ Table II counters and Fig 5 timings fall out of this log.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,13 +152,9 @@ class CommandQueue:
             EventKind.DEV_WRITE, buffer.label, host_array.nbytes,
             sim_seconds=self.xfer_seconds(host_array.nbytes)))
 
-    def enqueue_read_buffer(self, buffer: Buffer) -> Optional[np.ndarray]:
-        """Copy device memory back to the host (Dev-R event).
-
-        Returns ``None`` for dry buffers — callers running a plan must not
-        depend on values.
-        """
-        result = None if buffer.dry else buffer.get_data().copy()
+    def enqueue_read_buffer(self, buffer: Buffer) -> np.ndarray:
+        """Copy device memory back to the host (Dev-R event)."""
+        result = buffer.get_data().copy()
         self.log.record(Event(
             EventKind.DEV_READ, buffer.label, buffer.nbytes,
             sim_seconds=self.xfer_seconds(buffer.nbytes)))
@@ -176,38 +172,30 @@ class CommandQueue:
         plain scalars (OpenCL by-value arguments).  ``out`` is one buffer,
         or a sequence when the kernel writes several global arrays (a fused
         kernel materializing multiple intermediates); the executor must
-        then return a matching tuple.  In a dry-run context the executor is
-        skipped; cost accounting still happens.
+        then return a matching tuple.
         """
         outs: list[Buffer] = list(out) if isinstance(out, (list, tuple)) \
             else [out]
-        wall = 0.0
-        if not self.context.dry_run:
-            device_args = []
-            for a in args:
-                if isinstance(a, Buffer):
-                    device_args.append(a.get_data())
-                else:
-                    device_args.append(a)
-            if self.context.backend == "interpreted" \
-                    and kernel.source.strip():
-                result, wall = _run_interpreted(kernel, device_args, outs)
-            else:
-                result, wall = kernel.run(device_args)
-            if result is not None:
-                results = list(result) if isinstance(result, tuple) \
-                    else [result]
-                if len(results) != len(outs):
+        device_args = [a.get_data() if isinstance(a, Buffer) else a
+                       for a in args]
+        if self.context.backend == "interpreted" and kernel.source.strip():
+            result, wall = _run_interpreted(kernel, device_args, outs)
+        else:
+            result, wall = kernel.run(device_args)
+        if result is not None:
+            results = list(result) if isinstance(result, tuple) \
+                else [result]
+            if len(results) != len(outs):
+                raise CLInvalidOperation(
+                    f"kernel {kernel.name!r} produced {len(results)} "
+                    f"outputs for {len(outs)} output buffers")
+            for array, buf in zip(results, outs):
+                if array.nbytes != buf.nbytes:
                     raise CLInvalidOperation(
-                        f"kernel {kernel.name!r} produced {len(results)} "
-                        f"outputs for {len(outs)} output buffers")
-                for array, buf in zip(results, outs):
-                    if array.nbytes != buf.nbytes:
-                        raise CLInvalidOperation(
-                            f"kernel {kernel.name!r} produced "
-                            f"{array.nbytes} B but output buffer "
-                            f"{buf.label!r} is {buf.nbytes} B")
-                    buf.data = np.ascontiguousarray(array)
+                        f"kernel {kernel.name!r} produced "
+                        f"{array.nbytes} B but output buffer "
+                        f"{buf.label!r} is {buf.nbytes} B")
+                buf.data = np.ascontiguousarray(array)
         self.log.record(Event(
             EventKind.KERNEL, kernel.name, cost.global_bytes,
             sim_seconds=kernel_seconds(cost, self.device),

@@ -4,11 +4,13 @@ A :class:`CompiledPlan` wraps an interpreter-built base plan with the
 ``exec``-compiled sweep function from :mod:`repro.codegen.generator`.  A
 warm launch is then one Python call — no executor-tree walk, no simulated
 buffer traffic — while the modeled observables stay exact: at compile
-time the base plan is dry-replayed once on an unmetered environment to
-capture its full event trace (kind, name, bytes, modeled seconds) and its
-allocator high-water mark, and every compiled launch replays that trace
-into the live environment's log, advancing each registry counter once
-by the trace's per-kind totals.  Event counts, modeled timings, transfer
+time the base plan's modeled walk
+(:meth:`~repro.strategies.plancache.ExecutablePlan.model`) runs once
+against an unmetered allocator and a bare event log to capture its full
+event trace (kind, name, bytes, modeled seconds) and its allocator
+high-water mark, and every compiled launch replays that trace into the
+live environment's log, advancing each registry counter once by the
+trace's per-kind totals.  Event counts, modeled timings, transfer
 bytes, and the Fig 6 peak therefore match the interpreter bit-for-bit;
 only the host wall time changes (that is the point).
 
@@ -25,8 +27,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from ..clsim.buffer import Allocator
 from ..clsim.environment import CLEnvironment
-from ..clsim.events import Event, EventKind
+from ..clsim.events import Event, EventKind, EventLog
 from ..dataflow.network import Network
 from ..errors import CodegenError
 from ..metrics import NULL_REGISTRY
@@ -76,20 +79,6 @@ def _build_namespace(primitive_names: tuple[str, ...],
 def _compile_fn(source: str, namespace: dict[str, object]):
     exec(compile(source, "<repro-codegen-sweep>", "exec"), namespace)
     return namespace["_sweep"]
-
-
-def capture_launch(plan: ExecutablePlan,
-                   bindings: Mapping[str, Binding],
-                   device) -> tuple[EventTrace, int]:
-    """Dry-replay the base plan once to record its modeled event trace
-    and allocator peak.  The capture environment uses the null metrics
-    registry so the rehearsal never shows up in process-wide counters."""
-    env = CLEnvironment(device, dry_run=True, backend="vectorized",
-                        pooling=False, registry=NULL_REGISTRY)
-    plan.launch(bindings, env)
-    events = tuple((e.kind, e.name, e.nbytes, e.sim_seconds)
-                   for e in env.queue.log.events)
-    return events, env.mem_high_water
 
 
 class CompiledPlan(ExecutablePlan):
@@ -192,19 +181,24 @@ class CompiledPlan(ExecutablePlan):
 
 
 def compile_plan(base_plan: ExecutablePlan, network: Network,
-                 bindings: Mapping[str, Binding],
                  device) -> CompiledPlan:
-    """Generate, compile, and instrument the sweep for one base plan."""
+    """Generate, compile, and instrument the sweep for one base plan.
+    The base plan's modeled walk, on an unmetered allocator, supplies the
+    event trace and peak (and raises if the plan does not fit)."""
     sweep: SweepSource = generate_sweep(network)
     namespace = _build_namespace(sweep.primitive_names, network.registry,
                                  base_plan.n, base_plan.dtype)
     fn = _compile_fn(sweep.source, namespace)
-    events, captured_peak = capture_launch(base_plan, bindings, device)
+    allocator = Allocator(device, registry=NULL_REGISTRY)
+    log = EventLog()
+    base_plan.model(allocator, log)
     return CompiledPlan(
         fn=fn, sweep_source=sweep.source,
         params=sweep.params,
         primitive_names=sweep.primitive_names,
-        events=events, captured_peak=captured_peak,
+        events=tuple((e.kind, e.name, e.nbytes, e.sim_seconds)
+                     for e in log.events),
+        captured_peak=allocator.peak_bytes,
         strategy_name=base_plan.strategy_name,
         source_order=base_plan.source_order,
         n=base_plan.n, dtype=base_plan.dtype,

@@ -55,8 +55,7 @@ def _plan_case(expression: str, grid: SubGrid, device: str,
               if name in EXPRESSION_INPUTS[expression]}
     if executor == "reference":
         return plan(ReferenceKernel(expression), shapes, device)
-    engine = DerivedFieldEngine(device=device, strategy=executor,
-                                dry_run=True)
+    engine = DerivedFieldEngine(device=device, strategy=executor)
     compiled = engine.compile(EXPRESSIONS[expression])
     return plan(get_strategy(executor), shapes, device,
                 network=compiled.network)

@@ -83,7 +83,7 @@ class PreparedExecution:
     worker's :meth:`DerivedFieldEngine.execute_batch`.
 
     ``key`` is ``None`` when this engine bypasses the plan cache
-    (``plan_cache=False``, dry-run, or a strategy without ``build_plan``).
+    (``plan_cache=False``, or a strategy without ``build_plan``).
     ``sources`` is the network's source order, for positional rebinding
     on a structural cache hit.
     """
@@ -129,9 +129,11 @@ class DerivedFieldEngine:
     :class:`PlanCache` instance is shared as-is, and ``False`` disables
     caching entirely (every run re-plans, like the seed implementation).
     ``pooling`` controls whether the persistent warm environment recycles
-    released device-buffer reservations.  Dry-run engines and strategies
-    without ``build_plan`` (streaming, multi-device) always take the
-    uncached fresh-environment path.
+    released device-buffer reservations.  Strategies without
+    ``build_plan`` (streaming, multi-device) always take the uncached
+    fresh-environment path.  The engine runs live arrays; dry runs over
+    shapes go through :func:`repro.strategies.plan` or a strategy's
+    ``execute`` on a ``CLEnvironment(dry_run=True)``.
 
     ``backend`` selects the executor: ``"vectorized"`` / ``"interpreted"``
     run the clsim kernel backends; ``"compiled"`` lowers each cached plan
@@ -148,7 +150,7 @@ class DerivedFieldEngine:
                  strategy: Union[str, ExecutionStrategy] = "fusion", *,
                  registry: Optional[PrimitiveRegistry] = None,
                  cse: bool = True, commutative_cse: bool = False,
-                 dry_run: bool = False, backend: Optional[str] = None,
+                 backend: Optional[str] = None,
                  plan_cache: Union[bool, int, PlanCache] = True,
                  plan_cache_dir: Union[None, str, Path,
                                        PlanDiskCache] = None,
@@ -162,7 +164,6 @@ class DerivedFieldEngine:
         self.registry = registry
         self.cse = cse
         self.commutative_cse = commutative_cse
-        self.dry_run = dry_run
         self.pooling = pooling
         if plan_cache is True:
             self.plan_cache: Optional[PlanCache] = PlanCache()
@@ -175,7 +176,7 @@ class DerivedFieldEngine:
         # The compiled executor lives on the warm plan path; without a
         # plan cache (or with a strategy that cannot build plans) it has
         # nowhere to hang, so requests for it downgrade gracefully.
-        can_compile = (self.plan_cache is not None and not dry_run
+        can_compile = (self.plan_cache is not None
                        and hasattr(self.strategy, "build_plan"))
         if backend is None:
             backend = ("compiled"
@@ -332,7 +333,7 @@ class DerivedFieldEngine:
                     f"fields {missing}; got {sorted(fields)}")
             bindings, n, dtype = self.strategy.prepare(compiled.network,
                                                        fields)
-            if (self.plan_cache is None or self.dry_run
+            if (self.plan_cache is None
                     or not hasattr(self.strategy, "build_plan")):
                 key: Optional[PlanKey] = None
                 sources: tuple[str, ...] = ()
@@ -390,8 +391,8 @@ class DerivedFieldEngine:
                          strategy=self.strategy.name,
                          device=self.device_spec.name,
                          cached=False) as exec_span:
-            env = CLEnvironment(self.device_spec, dry_run=self.dry_run,
-                                backend=self.env_backend, tracer=tracer)
+            env = CLEnvironment(self.device_spec, backend=self.env_backend,
+                                tracer=tracer)
             anchor = tracer.now()
             with tracer.span("execute", category="engine"):
                 report = self.strategy.execute(
@@ -495,8 +496,8 @@ class DerivedFieldEngine:
         sweep (``cold-codegen``), or — when codegen cannot lower the
         network — the interpreter plan (``interpreter-fallback``), which
         is still cached so later runs take memory hits.  A device OOM
-        in the capture rehearsal propagates: it is the request's failure,
-        not a codegen gap.
+        in the base plan's modeled walk propagates: it is the request's
+        failure, not a codegen gap.
         """
         tracer = self.tracer
         network = prepared.compiled.network
@@ -526,8 +527,7 @@ class DerivedFieldEngine:
                 base = self.strategy.build_plan(
                     network, prepared.bindings, prepared.n, prepared.dtype)
             try:
-                plan = compile_plan(base, network, prepared.bindings,
-                                    self.device_spec)
+                plan = compile_plan(base, network, self.device_spec)
             except CLOutOfMemoryError:
                 raise       # the request does not fit; codegen is fine
             except Exception as exc:
@@ -581,9 +581,4 @@ class DerivedFieldEngine:
     def derive(self, expression: Union[str, CompiledExpression],
                fields: Mapping[str, np.ndarray]) -> np.ndarray:
         """Execute and return just the derived field array."""
-        if self.dry_run:
-            raise HostInterfaceError(
-                "derive() needs real arrays; this engine is dry_run=True")
-        report = self.execute(expression, fields)
-        assert report.output is not None
-        return report.output
+        return self.execute(expression, fields).output

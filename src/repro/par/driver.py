@@ -264,8 +264,7 @@ def plan_distributed(expression: str, *,
     blocks = decompose(global_dims, block_dims)
     assignments = assign_blocks(blocks, n_ranks,
                                 devices_per_node=devices_per_node)
-    engine = DerivedFieldEngine(device=device, strategy=strategy,
-                                dry_run=True)
+    engine = DerivedFieldEngine(device=device, strategy=strategy)
     compiled = engine.compile(expression)
     dtype = np.dtype(dtype)
 

@@ -19,10 +19,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from ..dataflow.network import Network
 from ..errors import StrategyError
+from ..primitives.base import CallStyle
 
-__all__ = ["MeshLayout", "Chunk", "discover_mesh", "plan_chunks",
-           "chunk_bindings", "assemble"]
+__all__ = ["MeshLayout", "Chunk", "discover_mesh", "halo_width",
+           "plan_chunks", "chunk_bindings", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,15 @@ def discover_mesh(bindings: Mapping[str, np.ndarray],
             ordered.append(match)
             remaining.remove(match)
     return MeshLayout(dims_name, tuple(ordered), tuple(fields), dims)
+
+
+def halo_width(network: Network) -> int:
+    """One cell of halo when the network has a stencil primitive (the
+    gradient's central difference reads +-1 along each axis), else 0."""
+    return 1 if any(
+        network.registry.get(node.filter).call_style is CallStyle.GLOBAL
+        for node in network.schedule()
+        if node.filter not in ("source", "const")) else 0
 
 
 def plan_chunks(layout: MeshLayout, n_chunks: int,

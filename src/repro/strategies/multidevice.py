@@ -23,10 +23,11 @@ from ..clsim.environment import CLEnvironment, TimingSummary
 from ..clsim.events import EventCounts
 from ..dataflow.network import Network
 from ..errors import StrategyError
-from ..primitives.base import CallStyle, ResultKind, VECTOR_WIDTH
+from ..primitives.base import ResultKind, VECTOR_WIDTH
 from .base import ExecutionReport, ExecutionStrategy
 from .bindings import BindingInput
-from .chunking import assemble, chunk_bindings, discover_mesh, plan_chunks
+from .chunking import (assemble, chunk_bindings, discover_mesh, halo_width,
+                       plan_chunks)
 from .fusion import FusionStrategy
 
 __all__ = ["MultiDeviceStrategy", "DeviceReport"]
@@ -56,13 +57,6 @@ class MultiDeviceStrategy(ExecutionStrategy):
         self.devices = tuple(devices)
         self.inner = inner if inner is not None else FusionStrategy()
 
-    def _halo_width(self, network: Network) -> int:
-        return 1 if any(
-            network.registry.get(node.filter).call_style
-            is CallStyle.GLOBAL
-            for node in network.schedule()
-            if node.filter not in ("source", "const")) else 0
-
     def execute(self, network: Network,
                 arrays: Mapping[str, BindingInput],
                 env: CLEnvironment) -> ExecutionReport:
@@ -82,8 +76,7 @@ class MultiDeviceStrategy(ExecutionStrategy):
         host_arrays = {name: binding.data
                        for name, binding in bindings.items()}
         layout = discover_mesh(host_arrays, n)
-        chunks = plan_chunks(layout, len(self.devices),
-                             self._halo_width(network))
+        chunks = plan_chunks(layout, len(self.devices), halo_width(network))
 
         environments = [env]
         environments.extend(
@@ -125,7 +118,8 @@ class MultiDeviceStrategy(ExecutionStrategy):
             device_to_host=max(r.timing.device_to_host
                                for r in device_reports),
             build=max(r.timing.build for r in device_reports),
-            wall=sum(r.timing.wall for r in device_reports))
+            wall=sum(r.timing.wall for r in device_reports),
+            makespan=max(r.timing.makespan for r in device_reports))
         return ExecutionReport(
             strategy=self.name,
             output=output,

@@ -19,7 +19,8 @@ executors, precomputed byte sizes and
 :meth:`ExecutablePlan.launch`, runs any strategy's schedule; a warm
 ``run()`` only binds input arrays and replays it — producing the
 *identical* event sequence, allocation order, and bitwise-identical
-output of a cold run.
+output of a cold run.  :meth:`ExecutablePlan.model` walks the same
+schedule for its modeled effects alone: that is a dry run.
 
 Strategies that support planning implement ``build_plan()`` and inherit
 :meth:`~repro.strategies.base.ExecutionStrategy.execute`, which routes
@@ -41,10 +42,11 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from ..clsim.buffer import Buffer
+from ..clsim.buffer import Allocator, Buffer
 from ..clsim.environment import CLEnvironment
+from ..clsim.events import Event, EventKind, EventLog
 from ..clsim.kernel import Kernel
-from ..clsim.perfmodel import KernelCost
+from ..clsim.perfmodel import KernelCost, kernel_seconds, transfer_seconds
 from ..dataflow.network import Network
 from ..metrics import get_registry
 from ..dataflow.spec import CONST, SOURCE
@@ -268,7 +270,7 @@ class UploadOp:
 
     slot: int
     node_id: str        # host value to upload; also the buffer label
-    nbytes: int         # the value's size (dry runs have no data)
+    nbytes: int         # the value's size (the modeled walk has no data)
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,8 @@ class ReleaseOp:
 @dataclass(frozen=True)
 class HostOp:
     """Compute host value ``node_id`` on the host — no device events.
-    ``fn`` receives the host values of ``inputs``; dry runs skip it."""
+    ``fn`` receives the host values of ``inputs``; the modeled walk
+    skips it."""
 
     node_id: str
     fn: Callable
@@ -319,6 +322,8 @@ class HostOp:
 
 
 Op = Union[UploadOp, AllocOp, KernelOp, ReadOp, ReleaseOp, HostOp]
+
+_TRANSFER_KIND = {UploadOp: EventKind.DEV_WRITE, ReadOp: EventKind.DEV_READ}
 
 
 class ExecutablePlan:
@@ -349,22 +354,24 @@ class ExecutablePlan:
     def launch(self, bindings: Mapping[str, Binding],
                env: CLEnvironment) -> Optional[np.ndarray]:
         """Run the op schedule on ``env`` and return the raw output (None
-        when planning dry).  Buffers still live when the schedule ends —
-        or when an op fails (OOM, validation) — are released."""
-        dry = env.dry_run
-        queue = env.queue
-        host = {s: bindings[s].data for s in self.source_order}
-        live: dict[int, Buffer] = {}
+        when planning dry: a dry environment gets the :meth:`model` walk).
+        Buffers still live when the schedule ends — or when an op fails
+        (OOM, validation) — are released."""
         with env.tracer.span("plan.schedule", category="strategy",
                              strategy=self.strategy_name,
                              ops=len(self.ops)):
+            if env.dry_run:
+                self.model(env.context.allocator, env.queue.log)
+                return None
+            queue = env.queue
+            host = {s: bindings[s].data for s in self.source_order}
+            live: dict[int, Buffer] = {}
             try:
                 for op in self.ops:
                     kind = type(op)
                     if kind is UploadOp:
-                        live[op.slot] = (
-                            env.upload_shape(op.nbytes, op.node_id) if dry
-                            else env.upload(host[op.node_id], op.node_id))
+                        live[op.slot] = env.upload(host[op.node_id],
+                                                   op.node_id)
                     elif kind is AllocOp:
                         live[op.slot] = env.create_buffer(op.nbytes,
                                                           op.node_id)
@@ -376,21 +383,50 @@ class ExecutablePlan:
                                              op.cost)
                     elif kind is ReadOp:
                         result = queue.enqueue_read_buffer(live[op.slot])
-                        if result is not None and op.reshape:
+                        if op.reshape:
                             result = result.reshape(self.n, -1)
                         host[op.node_id] = result
                     elif kind is ReleaseOp:
                         for s in op.slots:
                             live.pop(s).release()
-                    elif not dry:       # HostOp
+                    else:               # HostOp
                         host[op.node_id] = op.fn(
                             *[host[i] for i in op.inputs])
             finally:
                 for buf in live.values():
                     buf.release()
-        if dry:
-            return None
         return self._broadcast(host[self.output_id])
+
+    def model(self, allocator: Allocator, log: EventLog) -> None:
+        """Apply only the schedule's modeled effects: reservations on
+        ``allocator``, and the upload, kernel and read events a live
+        launch records, in ``log``.  A reservation that does not fit
+        raises :class:`~repro.errors.CLOutOfMemoryError` after the events
+        before it; whatever is still reserved is released."""
+        device = allocator.device
+        reserved: dict[int, tuple[int, str]] = {}   # slot -> (size, label)
+        try:
+            for op in self.ops:
+                kind = type(op)
+                if kind is UploadOp or kind is AllocOp:
+                    allocator.reserve(op.nbytes, op.node_id)
+                    reserved[op.slot] = (op.nbytes, op.node_id)
+                if kind is UploadOp or kind is ReadOp:
+                    nbytes, label = reserved[op.slot]
+                    log.record(Event(
+                        _TRANSFER_KIND[kind], label, nbytes,
+                        sim_seconds=transfer_seconds(nbytes, device)))
+                elif kind is KernelOp:
+                    log.record(Event(
+                        EventKind.KERNEL, op.kernel.name,
+                        op.cost.global_bytes,
+                        sim_seconds=kernel_seconds(op.cost, device)))
+                elif kind is ReleaseOp:
+                    for s in op.slots:
+                        allocator.release(reserved.pop(s)[0])
+        finally:
+            for nbytes, _ in reserved.values():
+                allocator.release(nbytes)
 
     def run(self, bindings: Mapping[str, Binding],
             env: CLEnvironment) -> ExecutionReport:
@@ -421,10 +457,9 @@ class ExecutablePlan:
     def output_components(self) -> int:
         return VECTOR_WIDTH if self.output_kind is ResultKind.VECTOR else 1
 
-    def _broadcast(self, output: Optional[np.ndarray],
-                   ) -> Optional[np.ndarray]:
+    def _broadcast(self, output: np.ndarray) -> np.ndarray:
         """Expand a uniform result to the full problem size on return."""
-        if output is None or not self.output_uniform:
+        if not self.output_uniform:
             return output
         components = self.output_components
         shape = (self.n,) if components == 1 else (self.n, components)

@@ -1,12 +1,14 @@
 """Dry-run planning: full-paper-scale experiments without the data.
 
-A plan runs a strategy unmodified against a dry-run
-:class:`~repro.clsim.environment.CLEnvironment`: buffers are allocated and
-tracked (so out-of-memory failures happen exactly where they would on the
-real device), every transfer and kernel event is logged with its modeled
-duration, but no element data exists.  This is how the 12 Table I sub-grids
-— up to 2.6 GB per field — are swept for Fig 5 and Fig 6 on a machine that
-could not hold them.
+A plan runs a strategy's ``execute`` unmodified against a dry-run
+:class:`~repro.clsim.environment.CLEnvironment`, where the strategy's op
+schedule is walked for its modeled effects only
+(:meth:`~repro.strategies.plancache.ExecutablePlan.model`): buffer sizes
+are reserved on the allocator (so out-of-memory failures happen exactly
+where they would on the real device) and every transfer and kernel event
+is logged with its modeled duration, but no buffer or data exists.  This
+is how the 12 Table I sub-grids — up to 2.6 GB per field — are swept for
+Fig 5 and Fig 6 on a machine that could not hold them.
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ able to execute the expressions using less memory fetches and floating
 point operations than our strategies."*
 
 Each reference here is a hand-written OpenCL kernel string plus a direct
-NumPy implementation (from :mod:`repro.analysis.vortex`), executed through
-the same environment so its events, memory, and timing are measured
-identically.  It is *not* an :class:`ExecutionStrategy` over a network —
-it is the custom one-off solution the framework is competing with.
+NumPy implementation (from :mod:`repro.analysis.vortex`).  It emits the
+same kind of op schedule the strategies do — upload every input, one
+kernel, read the output back — and runs through the shared launcher, so
+its events, memory, and timing are measured identically, live or dry.
+It is *not* an :class:`ExecutionStrategy` over a network — it is the
+custom one-off solution the framework is competing with.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -27,9 +29,11 @@ from ..clsim.environment import CLEnvironment
 from ..clsim.kernel import Kernel
 from ..clsim.perfmodel import KernelCost
 from ..errors import StrategyError
+from ..primitives.base import ResultKind
 from ..primitives.gradient import GRAD3D
 from .base import ExecutionReport, ctype_for
-from .bindings import ArraySpec, BindingInput, normalize, problem_size
+from .bindings import Binding, BindingInput, normalize, problem_size
+from .plancache import AllocOp, ExecutablePlan, KernelOp, ReadOp, UploadOp
 
 __all__ = ["ReferenceKernel", "REFERENCE_FLOPS"]
 
@@ -140,45 +144,47 @@ class ReferenceKernel:
                 f"available: {sorted(_KERNELS)}")
         self.expression = expression
 
-    def execute(self, arrays: Mapping[str, BindingInput],
-                env: CLEnvironment) -> ExecutionReport:
+    def build_plan(self, bindings: Mapping[str, Binding], n: int,
+                   dtype: np.dtype) -> ExecutablePlan:
+        """The reference schedule: upload every input, run the one
+        hand-written kernel, read the output back (the launcher releases
+        every buffer at the end)."""
         template, numpy_fn, inputs = _KERNELS[self.expression]
-        bindings = normalize(arrays, list(inputs))
-        n, dtype = problem_size(bindings)
         ctype = ctype_for(dtype)
         source = template.format(T=ctype, T4=f"{ctype}4",
                                  GRAD=GRAD3D.render_source(ctype))
         validate_source(source)
-
-        buffers = []
-        for name in inputs:
-            binding = bindings[name]
-            if env.dry_run:
-                buffers.append(env.upload_shape(binding.nbytes, name))
-            else:
-                buffers.append(env.upload(binding.data, name))
-        out_buf = env.create_buffer(n * dtype.itemsize, "out")
-
         kernel = Kernel(f"ref_{self.expression}", source,
                         executor=numpy_fn, arg_names=inputs)
-        global_bytes = (sum(bindings[name].nbytes for name in inputs)
-                        + out_buf.nbytes)
+        out_nbytes = n * dtype.itemsize
         cost = KernelCost(
-            global_bytes=global_bytes,
+            global_bytes=(sum(bindings[name].nbytes for name in inputs)
+                          + out_nbytes),
             flops=REFERENCE_FLOPS[self.expression] * n,
             register_words=16,
             itemsize=dtype.itemsize,
             elements=n)
-        env.queue.enqueue_kernel(kernel, buffers, out_buf, cost)
-        output = env.queue.enqueue_read_buffer(out_buf)
-        for buf in buffers:
-            buf.release()
-        out_buf.release()
-        return ExecutionReport(
-            strategy=self.name,
-            output=output,
-            counts=env.event_counts(),
-            timing=env.timing(),
-            mem_high_water=env.mem_high_water,
-            generated_sources={kernel.name: source},
-        )
+        args = tuple(range(len(inputs)))
+        out = len(inputs)
+        ops = [UploadOp(slot, name, bindings[name].nbytes)
+               for slot, name in zip(args, inputs)]
+        ops += [AllocOp(out, "out", out_nbytes),
+                KernelOp(kernel, args, (out,), cost),
+                ReadOp(out, "out")]
+        return ExecutablePlan(
+            ops=tuple(ops),
+            strategy_name=self.name,
+            source_order=inputs,
+            n=n, dtype=dtype,
+            output_id="out",
+            output_kind=ResultKind.SCALAR,
+            output_uniform=False,
+            generated_sources={kernel.name: source})
+
+    def execute(self, arrays: Mapping[str, BindingInput],
+                env: CLEnvironment) -> ExecutionReport:
+        inputs = _KERNELS[self.expression][2]
+        bindings = normalize(arrays, list(inputs))
+        n, dtype = problem_size(bindings)
+        plan = self.build_plan(bindings, n, np.dtype(dtype))
+        return plan.run(bindings, env)

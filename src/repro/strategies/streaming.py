@@ -34,11 +34,12 @@ from typing import Mapping
 from ..clsim.environment import CLEnvironment
 from ..clsim.pipeline import overlap_events
 from ..dataflow.network import Network
-from ..primitives.base import CallStyle, ResultKind, VECTOR_WIDTH
+from ..primitives.base import ResultKind, VECTOR_WIDTH
 from ..errors import StrategyError
 from .base import ExecutionReport, ExecutionStrategy
 from .bindings import BindingInput
-from .chunking import assemble, chunk_bindings, discover_mesh, plan_chunks
+from .chunking import (assemble, chunk_bindings, discover_mesh, halo_width,
+                       plan_chunks)
 from .fusion import FusionStrategy
 
 __all__ = ["StreamingFusionStrategy"]
@@ -59,15 +60,6 @@ class StreamingFusionStrategy(ExecutionStrategy):
         self.pipeline_depth = pipeline_depth
         self._inner = FusionStrategy()
 
-    def _halo_width(self, network: Network) -> int:
-        """One cell of halo per stencil primitive in the network (the
-        gradient's central difference reads +-1 along each axis)."""
-        return 1 if any(
-            network.registry.get(node.filter).call_style
-            is CallStyle.GLOBAL
-            for node in network.schedule()
-            if node.filter not in ("source", "const")) else 0
-
     def execute(self, network: Network,
                 arrays: Mapping[str, BindingInput],
                 env: CLEnvironment) -> ExecutionReport:
@@ -79,7 +71,7 @@ class StreamingFusionStrategy(ExecutionStrategy):
         host_arrays = {name: binding.data
                        for name, binding in bindings.items()}
         layout = discover_mesh(host_arrays, n)
-        chunks = plan_chunks(layout, self.n_chunks, self._halo_width(network))
+        chunks = plan_chunks(layout, self.n_chunks, halo_width(network))
 
         output_id = network.output_ids()[0]
         components = (VECTOR_WIDTH

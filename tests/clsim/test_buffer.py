@@ -109,17 +109,6 @@ class TestBuffer:
         with pytest.raises(CLInvalidOperation, match="released"):
             buf.set_data(np.zeros(1))
 
-    def test_dry_buffer_skips_data(self, allocator):
-        buf = Buffer(allocator, 8, dry=True)
-        buf.set_data(np.zeros(1))  # accepted but not stored
-        assert buf.data is None
-        with pytest.raises(CLInvalidOperation, match="dry"):
-            buf.get_data()
-
-    def test_dry_buffer_still_counts_memory(self, allocator):
-        Buffer(allocator, 4096, dry=True)
-        assert allocator.peak_bytes == 4096
-
     def test_repr_states(self, allocator):
         buf = Buffer(allocator, 8, label="x")
         assert "live" in repr(buf)

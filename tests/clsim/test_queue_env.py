@@ -87,32 +87,47 @@ class TestKernels:
 
 
 class TestDryRun:
+    """A dry environment runs a plan's modeled walk: no executor, no
+    buffers, no output — the same events and peak as a live launch."""
+
+    @staticmethod
+    def plan(kernel):
+        from repro.primitives.base import ResultKind
+        from repro.strategies.plancache import (AllocOp, ExecutablePlan,
+                                                KernelOp, ReadOp,
+                                                ReleaseOp, UploadOp)
+        ops = (UploadOp(0, "a", 64), AllocOp(1, "o", 64),
+               KernelOp(kernel, (0,), (1,), KernelCost(128, 8)),
+               ReadOp(1, "o"), ReleaseOp((0, 1)))
+        return ExecutablePlan("tiny", ("a",), 8, np.float64, "o",
+                              ResultKind.SCALAR, False, {}, ops)
+
+    @staticmethod
+    def bindings(data):
+        from repro.strategies.bindings import ArraySpec, Binding
+        return {"a": Binding("a", ArraySpec((8,), np.float64), data)}
+
     def test_dry_kernel_skips_executor(self):
         env = CLEnvironment("cpu", dry_run=True)
-        buf = env.upload_shape(64, "in")
-        out = env.create_buffer(64, "out")
         boom = Kernel("boom", "", executor=lambda x: 1 / 0)
-        env.queue.enqueue_kernel(boom, [buf], out, KernelCost(128, 8))
+        self.plan(boom).launch(self.bindings(None), env)
         assert env.event_counts().kernel_execs == 1
 
     def test_dry_read_returns_none(self):
         env = CLEnvironment("cpu", dry_run=True)
-        buf = env.upload_shape(64, "in")
-        assert env.queue.enqueue_read_buffer(buf) is None
+        assert self.plan(square_kernel()).launch(self.bindings(None),
+                                                 env) is None
+        assert env.event_counts().dev_reads == 1
+        assert env.mem_in_use == 0
 
     def test_dry_and_live_events_identical(self):
-        def run(env):
-            buf = (env.upload_shape(64, "a") if env.dry_run
-                   else env.upload(np.zeros(8), "a"))
-            out = env.create_buffer(64, "o")
-            env.queue.enqueue_kernel(square_kernel(), [buf], out,
-                                     KernelCost(128, 8))
-            env.queue.enqueue_read_buffer(out)
+        def run(env, data):
+            self.plan(square_kernel()).launch(self.bindings(data), env)
             return env.event_counts(), env.timing().total, \
                 env.mem_high_water
 
-        live = run(CLEnvironment("gpu"))
-        dry = run(CLEnvironment("gpu", dry_run=True))
+        live = run(CLEnvironment("gpu"), np.zeros(8))
+        dry = run(CLEnvironment("gpu", dry_run=True), None)
         assert live == dry
 
 

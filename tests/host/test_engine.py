@@ -82,21 +82,6 @@ class TestEngine:
             fast_report.counts.kernel_execs
         np.testing.assert_allclose(fast_report.output, slow_report.output)
 
-    def test_dry_run_engine_plans(self, small_fields):
-        from repro.strategies import ArraySpec
-        engine = DerivedFieldEngine(device="gpu", strategy="fusion",
-                                    dry_run=True)
-        shapes = {k: ArraySpec(v.shape, v.dtype)
-                  for k, v in small_fields.items()}
-        report = engine.execute(vortex.Q_CRITERION, shapes)
-        assert report.output is None
-        assert report.counts.as_row() == (7, 1, 1)
-
-    def test_dry_run_derive_rejected(self):
-        engine = DerivedFieldEngine(dry_run=True)
-        with pytest.raises(HostInterfaceError, match="dry_run"):
-            engine.derive("a = u", {"u": np.ones(4)})
-
     def test_reexecution_per_timestep(self, small_fields, rng):
         """The in-situ pattern: compile once, execute per time step."""
         engine = DerivedFieldEngine()

@@ -150,16 +150,17 @@ class TestCacheAndPoolFamilies:
 
 def test_dry_run_events_are_counted(registry):
     """The observer hook covers the dry-run shape path too."""
-    engine = DerivedFieldEngine(device="gpu", strategy="fusion",
-                                dry_run=True)
+    from repro.clsim import CLEnvironment
+    from repro.strategies import FusionStrategy
     from repro.strategies.bindings import ArraySpec
     import numpy as np
     fields = make_fields(SubGrid(8, 8, 12), seed=0)
     shapes = {k: ArraySpec(fields[k].shape, np.dtype(fields[k].dtype))
               for k in EXPRESSION_INPUTS["q_criterion"]}
-    compiled = engine.compile(EXPRESSIONS["q_criterion"])
-    report = engine.execute(compiled, shapes)
-    device = engine.device_spec.name
+    compiled = DerivedFieldEngine().compile(EXPRESSIONS["q_criterion"])
+    env = CLEnvironment("gpu", dry_run=True)
+    report = FusionStrategy().execute(compiled.network, shapes, env)
+    device = env.device.name
     assert registry.value("repro_clsim_kernel_launches_total",
                           device=device) == report.counts.kernel_execs
     assert registry.value("repro_clsim_transfers_total", device=device,

@@ -149,13 +149,12 @@ class TestStreamingStrategy:
 
     def test_dry_run_rejected(self, fields):
         from repro.strategies import ArraySpec
-        engine = DerivedFieldEngine(
-            device="gpu", strategy=StreamingFusionStrategy(2),
-            dry_run=True)
+        network = DerivedFieldEngine().compile(vortex.Q_CRITERION).network
         shapes = {k: ArraySpec(v.shape, v.dtype)
                   for k, v in fields.items()}
         with pytest.raises(StrategyError, match="live arrays"):
-            engine.execute(vortex.Q_CRITERION, shapes)
+            StreamingFusionStrategy(2).execute(
+                network, shapes, CLEnvironment("gpu", dry_run=True))
 
     def test_bad_chunk_count_rejected(self):
         with pytest.raises(StrategyError):
@@ -230,6 +229,14 @@ class TestMultiDeviceStrategy:
         report = engine.execute(vortex.Q_CRITERION, fields)
         serial = sum(r.timing.total for r in report.device_reports)
         assert report.timing.total < serial
+
+    def test_timeline_makespan_is_slowest_device(self, fields):
+        strategy = MultiDeviceStrategy(devices=("gpu", "gpu"))
+        engine = DerivedFieldEngine(device="gpu", strategy=strategy)
+        report = engine.execute(vortex.Q_CRITERION, fields)
+        slowest = max(r.timing.makespan for r in report.device_reports)
+        assert slowest > 0.0
+        assert report.timing.makespan == slowest
 
     def test_memory_split_across_devices(self, fields):
         single = DerivedFieldEngine(device="gpu", strategy="fusion")

@@ -39,8 +39,7 @@ def chain_shapes(n):
 
 
 def engine_network(expression, strategy, device="gpu"):
-    engine = DerivedFieldEngine(device=device, strategy=strategy,
-                                dry_run=True)
+    engine = DerivedFieldEngine(device=device, strategy=strategy)
     return engine.compile(expression).network
 
 
