@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from conftest import write_artifact
 
-from repro.clsim import CLEnvironment, NVIDIA_M2050_GPU
+from repro.clsim import NVIDIA_M2050_GPU
 from repro.host.engine import DerivedFieldEngine
-from repro.strategies import FusionStrategy, StagedStrategy
+from repro.strategies import FusionStrategy, StagedStrategy, plan
 from repro.strategies.bindings import ArraySpec
 from repro.workloads import SubGrid
 
@@ -42,9 +42,7 @@ def modeled(width: int, strategy, device):
     engine = DerivedFieldEngine(device=device, strategy="fusion")
     compiled = engine.compile(wide_expression(width))
     shapes = {"u": ArraySpec((N_CELLS,), np.dtype(np.float64))}
-    env = CLEnvironment(device, dry_run=True)
-    report = strategy.execute(compiled.network, shapes, env)
-    return report.timing.total
+    return plan(strategy, shapes, device, network=compiled.network).runtime
 
 
 def test_fusion_width_artifact(results_dir, benchmark):

@@ -22,11 +22,10 @@ class RetainAllStagedStrategy(StagedStrategy):
 
     name = "staged-retain-all"
 
-    def execute(self, network, arrays, env):
-        refcounts = network.refcounts()
-        # Inflate every count so `consume` never reaches zero; the final
-        # cleanup in StagedStrategy.execute skips still-referenced buffers,
-        # leaving the allocator to report the retain-all peak.
+    def build_plan(self, network, bindings, n, dtype):
+        # Inflate every count so no eager ReleaseOp is ever emitted; the
+        # launcher's end-of-schedule cleanup releases everything, leaving
+        # the allocator to report the retain-all peak.
         original = network.refcounts
 
         def inflated():
@@ -34,7 +33,7 @@ class RetainAllStagedStrategy(StagedStrategy):
 
         network.refcounts = inflated
         try:
-            return super().execute(network, arrays, env)
+            return super().build_plan(network, bindings, n, dtype)
         finally:
             network.refcounts = original
 

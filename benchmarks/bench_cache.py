@@ -51,10 +51,11 @@ def _median_runtime(engine, compiled, inputs, rounds, cold=False):
 def _bench_case(name, strategy, fields):
     inputs = {k: fields[k] for k in EXPRESSION_INPUTS[name]}
 
-    # Cold path: caching and pooling disabled — every run re-plans,
-    # regenerates, revalidates, and re-reserves (the seed behavior).
+    # Cold path: caching disabled — every run re-plans, regenerates,
+    # revalidates, and re-reserves on a fresh, unpooled environment (the
+    # seed behavior).
     cold = DerivedFieldEngine(device="cpu", strategy=strategy,
-                              plan_cache=False, pooling=False)
+                              plan_cache=False)
     compiled = cold.compile(EXPRESSIONS[name])
     cold_report = cold.execute(compiled, inputs)
     cold_s = _median_runtime(cold, compiled, inputs, COLD_ROUNDS,

@@ -57,20 +57,20 @@ class TimingSummary:
 class CLEnvironment:
     """One device's context, queue, and instrumentation.
 
-    ``dry_run=True`` plans full-paper-scale shapes: a plan launched here
-    runs its modeled walk (:meth:`~repro.strategies.plancache.
-    ExecutablePlan.model`) on this allocator and event log — a live run's
-    events, peak and out-of-memory failures, without data.
+    Environments always run live.  :func:`repro.strategies.plan` plans
+    shapes by running a schedule's modeled walk
+    (:meth:`~repro.strategies.plancache.ExecutablePlan.model`) on a fresh
+    environment's allocator and event log — a live run's events, peak
+    and out-of-memory failures, without data.
     """
 
     def __init__(self, device: str | DeviceType | DeviceSpec = "gpu", *,
-                 dry_run: bool = False, backend: str = "vectorized",
-                 pooling: bool = False, tracer=None, registry=None):
+                 backend: str = "vectorized", pooling: bool = False,
+                 tracer=None, registry=None):
         if isinstance(device, DeviceSpec):
             self.device = device
         else:
             self.device = find_device(device)
-        self.dry_run = dry_run
         # The owning engine's tracer (strategies read it for launch-phase
         # spans); NULL_TRACER keeps the hot path allocation-free.
         self.tracer = NULL_TRACER if tracer is None else tracer
@@ -80,9 +80,9 @@ class CLEnvironment:
 
     def capture(self) -> "CLEnvironment":
         """A capture twin of this environment: the *same* context
-        (allocator, buffer pool, dry-run flag — so buffers and pooled
-        reuse behave exactly as a run on this environment would) but a
-        private, registry-silent command queue.
+        (allocator and buffer pool — so buffers and pooled reuse behave
+        exactly as a run on this environment would) but a private,
+        registry-silent command queue.
 
         Batched and pipelined execution run each member/chunk against a
         capture twin to obtain its solo event stream, then rewrite the
@@ -94,7 +94,6 @@ class CLEnvironment:
 
         twin = object.__new__(CLEnvironment)
         twin.device = self.device
-        twin.dry_run = self.dry_run
         twin.tracer = NULL_TRACER
         twin.context = self.context
         twin.queue = CommandQueue(self.context, registry=NULL_REGISTRY)

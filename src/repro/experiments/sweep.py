@@ -13,10 +13,10 @@ one sweep implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..analysis.vortex import EXPRESSION_INPUTS, EXPRESSIONS
-from ..clsim.device import NVIDIA_M2050_GPU
+from ..dataflow.network import Network
 from ..host.engine import DerivedFieldEngine
 from ..strategies import ReferenceKernel, get_strategy
 from ..strategies.planner import PlanResult, plan
@@ -49,22 +49,31 @@ class CaseResult:
         return self.grid.n_cells
 
 
+def _network(expression: str) -> Network:
+    """The compiled network of one named paper expression."""
+    return DerivedFieldEngine().compile(EXPRESSIONS[expression]).network
+
+
 def _plan_case(expression: str, grid: SubGrid, device: str,
-               executor: str) -> PlanResult:
+               executor: str, network: Optional[Network] = None,
+               ) -> PlanResult:
     shapes = {name: spec for name, spec in make_shapes(grid).items()
               if name in EXPRESSION_INPUTS[expression]}
     if executor == "reference":
         return plan(ReferenceKernel(expression), shapes, device)
-    engine = DerivedFieldEngine(device=device, strategy=executor)
-    compiled = engine.compile(EXPRESSIONS[expression])
     return plan(get_strategy(executor), shapes, device,
-                network=compiled.network)
+                network=(_network(expression) if network is None
+                         else network))
 
 
 def run_case(expression: str, grid: SubGrid, device: str,
-             executor: str) -> CaseResult:
-    """Plan one evaluation case at full scale."""
-    result = _plan_case(expression, grid, device, executor)
+             executor: str, network: Optional[Network] = None,
+             ) -> CaseResult:
+    """Plan one evaluation case at full scale.  ``network`` is the
+    expression's compiled network when the caller already holds it (a
+    sweep compiles each expression once); otherwise it is compiled
+    here."""
+    result = _plan_case(expression, grid, device, executor, network)
     return CaseResult(
         expression=expression,
         grid=grid,
@@ -83,9 +92,11 @@ def run_sweep(expressions: Iterable[str] = tuple(EXPRESSIONS),
               grids: Iterable[SubGrid] = TABLE1_SUBGRIDS,
               devices: Iterable[str] = DEVICES,
               executors: Iterable[str] = EXECUTORS) -> list[CaseResult]:
-    """The full evaluation sweep (planned, full paper scale)."""
-    return [run_case(e, g, d, x)
-            for e in expressions for d in devices
+    """The full evaluation sweep (planned, full paper scale); each
+    expression is compiled once."""
+    networks = {e: _network(e) for e in expressions}
+    return [run_case(e, g, d, x, networks[e])
+            for e in networks for d in devices
             for x in executors for g in grids]
 
 

@@ -46,7 +46,7 @@ from ..obs.log import get_logger
 from ..primitives.base import PrimitiveRegistry, ResultKind
 from ..strategies import (CodegenInfo, ExecutionReport, ExecutionStrategy,
                           get_strategy)
-from ..strategies.bindings import Binding, BindingInput
+from ..strategies.bindings import Binding, BindingInput, require_data
 from ..strategies.plancache import PlanCache, PlanKey, plan_key
 from ..trace import NULL_TRACER, Tracer
 
@@ -128,12 +128,12 @@ class DerivedFieldEngine:
     builds an LRU of executable plans, an ``int`` sets its capacity, a
     :class:`PlanCache` instance is shared as-is, and ``False`` disables
     caching entirely (every run re-plans, like the seed implementation).
-    ``pooling`` controls whether the persistent warm environment recycles
-    released device-buffer reservations.  Strategies without
-    ``build_plan`` (streaming, multi-device) always take the uncached
-    fresh-environment path.  The engine runs live arrays; dry runs over
-    shapes go through :func:`repro.strategies.plan` or a strategy's
-    ``execute`` on a ``CLEnvironment(dry_run=True)``.
+    The persistent warm environment pools released device-buffer
+    reservations.  Strategies without ``build_plan`` (streaming,
+    multi-device) always take the uncached fresh-environment path.  The
+    engine runs live arrays only (:meth:`prepare` rejects shape-only
+    bindings); dry runs over shapes go through
+    :func:`repro.strategies.plan`.
 
     ``backend`` selects the executor: ``"vectorized"`` / ``"interpreted"``
     run the clsim kernel backends; ``"compiled"`` lowers each cached plan
@@ -154,7 +154,7 @@ class DerivedFieldEngine:
                  plan_cache: Union[bool, int, PlanCache] = True,
                  plan_cache_dir: Union[None, str, Path,
                                        PlanDiskCache] = None,
-                 pooling: bool = True, tracer: Optional[Tracer] = None):
+                 tracer: Optional[Tracer] = None):
         self.device = device
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.device_spec: DeviceSpec = (
@@ -164,7 +164,6 @@ class DerivedFieldEngine:
         self.registry = registry
         self.cse = cse
         self.commutative_cse = commutative_cse
-        self.pooling = pooling
         if plan_cache is True:
             self.plan_cache: Optional[PlanCache] = PlanCache()
         elif isinstance(plan_cache, PlanCache):
@@ -305,7 +304,7 @@ class DerivedFieldEngine:
         if self._env is None:
             self._env = CLEnvironment(self.device_spec,
                                       backend=self.env_backend,
-                                      pooling=self.pooling,
+                                      pooling=True,
                                       tracer=self.tracer)
         return self._env
 
@@ -314,11 +313,12 @@ class DerivedFieldEngine:
         """The public prepare/plan path: validate, bind, size, and key a
         request without executing it.
 
-        Raises :class:`HostInterfaceError` on missing fields — so a
-        serving layer can reject a malformed request synchronously, before
-        admitting it to a queue.  The returned object is immutable and
-        safe to hand to another thread (or, re-keyed via
-        ``key.for_device``, to a worker on a different device).
+        Raises :class:`HostInterfaceError` on missing or shape-only
+        fields — so a serving layer can reject a malformed request
+        synchronously, before admitting it to a queue.  The returned
+        object is immutable and safe to hand to another thread (or,
+        re-keyed via ``key.for_device``, to a worker on a different
+        device).
         """
         start = time.perf_counter()
         with self.tracer.span("engine.prepare", category="engine"):
@@ -333,6 +333,7 @@ class DerivedFieldEngine:
                     f"fields {missing}; got {sorted(fields)}")
             bindings, n, dtype = self.strategy.prepare(compiled.network,
                                                        fields)
+            require_data(bindings, HostInterfaceError)
             if (self.plan_cache is None
                     or not hasattr(self.strategy, "build_plan")):
                 key: Optional[PlanKey] = None

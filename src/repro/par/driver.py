@@ -20,12 +20,10 @@ Two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..clsim.device import DeviceType
-from ..clsim.environment import CLEnvironment
 from ..errors import MPIError
 from ..host.engine import DerivedFieldEngine
 from ..host.visitsim.dataset import RectilinearDataset
@@ -72,10 +70,14 @@ class DistributedResult:
         return len(self.rank_stats)
 
 
-def _rank_body(comm: Comm, global_ds: RectilinearDataset,
+def _rank_body(comm: Comm, read_block: Callable,
                assignments: list[RankAssignment], expression: str,
                strategy: str, device: str, ghost_width: Optional[int]):
-    """What each MPI task runs: its blocks, in situ, on its device."""
+    """What each MPI task runs: its blocks, in situ, on its device.
+
+    ``read_block(block, ghost_width)`` turns one of the rank's assigned
+    blocks into ``(extent, ghosted dataset)`` — extracted from a global
+    in-memory dataset, or read (ghosts included) from a brick store."""
     mine = assignments[comm.rank]
     engine = DerivedFieldEngine(device=device, strategy=strategy)
     expr_filter = PythonExpressionFilter(expression, engine=engine)
@@ -90,8 +92,8 @@ def _rank_body(comm: Comm, global_ds: RectilinearDataset,
     mem_peak = 0
     n_cells = 0
     local_min, local_max, local_sum = np.inf, -np.inf, 0.0
-    for extent in mine.blocks:
-        block = extract_block(global_ds, extent, ghost_width=width)
+    for assigned in mine.blocks:
+        extent, block = read_block(assigned, width)
         bindings = dict(block.mesh_arrays())
         for name in expr_filter.compiled.required_inputs:
             if name not in bindings:
@@ -124,115 +126,11 @@ def _rank_body(comm: Comm, global_ds: RectilinearDataset,
     return pieces, stats, (field_min, field_max, field_sum)
 
 
-def run_distributed(expression: str, global_ds: RectilinearDataset, *,
-                    block_dims: tuple[int, int, int], n_ranks: int,
-                    strategy: str = "fusion", device: str = "gpu",
-                    devices_per_node: int = 2,
-                    ghost_width: Optional[int] = None) -> DistributedResult:
-    """Execute ``expression`` over a decomposed global dataset."""
-    blocks = decompose(global_ds.dims, block_dims)
-    if n_ranks > len(blocks):
-        raise MPIError(
-            f"{n_ranks} ranks for {len(blocks)} blocks; reduce ranks")
-    assignments = assign_blocks(blocks, n_ranks,
-                                devices_per_node=devices_per_node)
-    world = World(n_ranks)
-    rank_results = world.run(_rank_body, global_ds, assignments,
-                             expression, strategy, device, ghost_width)
-
-    output = np.empty(global_ds.n_cells, dtype=np.float64)
-    output3d = output.reshape(global_ds.dims)
-    for pieces, _stats, _reduced in rank_results:
-        for extent, values in pieces:
-            (i0, j0, k0), (bi, bj, bk) = extent.lo, extent.dims
-            output3d[i0:i0 + bi, j0:j0 + bj, k0:k0 + bk] = \
-                values.reshape(bi, bj, bk)
-    field_min, field_max, field_sum = rank_results[0][2]
-    return DistributedResult(
-        field=output,
-        global_dims=global_ds.dims,
-        field_min=field_min, field_max=field_max, field_sum=field_sum,
-        rank_stats=[stats for _p, stats, _r in rank_results],
-    )
-
-
-def _rank_body_store(comm: Comm, store, assignments, expression: str,
-                     strategy: str, device: str,
-                     ghost_width: Optional[int]):
-    """Out-of-core rank body: blocks (and their ghost layers) come from a
-    :class:`~repro.io.decomposed.DecomposedReader` instead of a global
-    in-memory dataset — no rank ever holds more than one ghosted brick."""
-    mine = assignments[comm.rank]
-    engine = DerivedFieldEngine(device=device, strategy=strategy)
-    expr_filter = PythonExpressionFilter(expression, engine=engine)
-    width = (expr_filter.contract().ghost_width if ghost_width is None
-             else ghost_width)
-
-    extents = store.extents()
-    pieces: list[tuple[BlockExtent, np.ndarray]] = []
-    counts = {"k": 0, "w": 0, "r": 0}
-    sim_seconds = 0.0
-    mem_peak = 0
-    n_cells = 0
-    local_min, local_max, local_sum = np.inf, -np.inf, 0.0
-    for block_index in mine.blocks:
-        extent = extents[block_index]
-        block = store.read_block(block_index, ghost_width=width)
-        bindings = dict(block.mesh_arrays())
-        for name in expr_filter.compiled.required_inputs:
-            if name not in bindings:
-                bindings[name] = block.field(name)
-        report = engine.execute(expr_filter.compiled, bindings)
-        derived = block.with_fields(
-            {expr_filter.output_name: report.output}).strip_ghost()
-        values = derived.field(expr_filter.output_name)
-        pieces.append((extent, values))
-        counts["k"] += report.counts.kernel_execs
-        counts["w"] += report.counts.dev_writes
-        counts["r"] += report.counts.dev_reads
-        sim_seconds += report.timing.total
-        mem_peak = max(mem_peak, report.mem_high_water)
-        n_cells += extent.n_cells
-        if values.size:
-            local_min = min(local_min, float(values.min()))
-            local_max = max(local_max, float(values.max()))
-            local_sum += float(values.sum())
-
-    field_min = comm.allreduce(local_min, min)
-    field_max = comm.allreduce(local_max, max)
-    field_sum = comm.allreduce(local_sum)
-    stats = RankStats(
-        rank=comm.rank, device_index=mine.device_index,
-        n_blocks=mine.n_blocks, n_cells=n_cells,
-        kernel_execs=counts["k"], dev_writes=counts["w"],
-        dev_reads=counts["r"], sim_seconds=sim_seconds,
-        mem_high_water=mem_peak)
-    return pieces, stats, (field_min, field_max, field_sum)
-
-
-def run_distributed_from_store(expression: str, store, *, n_ranks: int,
-                               strategy: str = "fusion",
-                               device: str = "gpu",
-                               devices_per_node: int = 2,
-                               ghost_width: Optional[int] = None,
-                               ) -> DistributedResult:
-    """Out-of-core variant of :func:`run_distributed`: each rank reads its
-    bricks (with disk-assembled ghosts) from a
-    :class:`~repro.io.decomposed.DecomposedReader`."""
-    extents = store.extents()
-    if n_ranks > len(extents):
-        raise MPIError(
-            f"{n_ranks} ranks for {len(extents)} blocks; reduce ranks")
-    # assign by block *index* so ranks address the store directly
-    index_assignments = assign_blocks(list(range(len(extents))), n_ranks,
-                                      devices_per_node=devices_per_node)
-    world = World(n_ranks)
-    rank_results = world.run(_rank_body_store, store, index_assignments,
-                             expression, strategy, device, ghost_width)
-
-    global_dims = store.global_dims
-    n_total = global_dims[0] * global_dims[1] * global_dims[2]
-    output = np.empty(n_total, dtype=np.float64)
+def _reassemble(rank_results: list, global_dims: tuple[int, int, int],
+                ) -> DistributedResult:
+    """Scatter every rank's blocks into the flat global field."""
+    output = np.empty(global_dims[0] * global_dims[1] * global_dims[2],
+                      dtype=np.float64)
     output3d = output.reshape(global_dims)
     for pieces, _stats, _reduced in rank_results:
         for extent, values in pieces:
@@ -248,6 +146,55 @@ def run_distributed_from_store(expression: str, store, *, n_ranks: int,
     )
 
 
+def run_distributed(expression: str, global_ds: RectilinearDataset, *,
+                    block_dims: tuple[int, int, int], n_ranks: int,
+                    strategy: str = "fusion", device: str = "gpu",
+                    devices_per_node: int = 2,
+                    ghost_width: Optional[int] = None) -> DistributedResult:
+    """Execute ``expression`` over a decomposed global dataset."""
+    blocks = decompose(global_ds.dims, block_dims)
+    if n_ranks > len(blocks):
+        raise MPIError(
+            f"{n_ranks} ranks for {len(blocks)} blocks; reduce ranks")
+    assignments = assign_blocks(blocks, n_ranks,
+                                devices_per_node=devices_per_node)
+
+    def read_block(extent: BlockExtent, width: int):
+        return extent, extract_block(global_ds, extent, ghost_width=width)
+
+    rank_results = World(n_ranks).run(_rank_body, read_block, assignments,
+                                      expression, strategy, device,
+                                      ghost_width)
+    return _reassemble(rank_results, global_ds.dims)
+
+
+def run_distributed_from_store(expression: str, store, *, n_ranks: int,
+                               strategy: str = "fusion",
+                               device: str = "gpu",
+                               devices_per_node: int = 2,
+                               ghost_width: Optional[int] = None,
+                               ) -> DistributedResult:
+    """Out-of-core variant of :func:`run_distributed`: each rank reads its
+    bricks (with disk-assembled ghosts) from a
+    :class:`~repro.io.decomposed.DecomposedReader` — no rank ever holds
+    more than one ghosted brick."""
+    extents = store.extents()
+    if n_ranks > len(extents):
+        raise MPIError(
+            f"{n_ranks} ranks for {len(extents)} blocks; reduce ranks")
+    # assign by block *index* so ranks address the store directly
+    index_assignments = assign_blocks(list(range(len(extents))), n_ranks,
+                                      devices_per_node=devices_per_node)
+
+    def read_block(index: int, width: int):
+        return extents[index], store.read_block(index, ghost_width=width)
+
+    rank_results = World(n_ranks).run(_rank_body, read_block,
+                                      index_assignments, expression,
+                                      strategy, device, ghost_width)
+    return _reassemble(rank_results, store.global_dims)
+
+
 def plan_distributed(expression: str, *,
                      global_dims: tuple[int, int, int],
                      block_dims: tuple[int, int, int], n_ranks: int,
@@ -260,7 +207,6 @@ def plan_distributed(expression: str, *,
 
     Returns one :class:`PlanResult` per rank.
     """
-    from ..expr import parse  # lazy: only needed for input discovery
     blocks = decompose(global_dims, block_dims)
     assignments = assign_blocks(blocks, n_ranks,
                                 devices_per_node=devices_per_node)

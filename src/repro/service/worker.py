@@ -62,8 +62,7 @@ class DeviceWorker:
         self.index = index
         self.engine = DerivedFieldEngine(
             device=device, strategy=strategy, plan_cache=plan_cache,
-            plan_cache_dir=plan_cache_dir,
-            pooling=True, backend=backend, tracer=tracer)
+            plan_cache_dir=plan_cache_dir, backend=backend, tracer=tracer)
         token = device if isinstance(device, str) else \
             self.engine.device_spec.device_type.value
         self.name = f"{index}:{token}"

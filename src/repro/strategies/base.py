@@ -30,7 +30,7 @@ from ..errors import StrategyError
 from ..obs.log import get_logger
 from ..primitives.base import ResultKind, VECTOR_WIDTH
 from .bindings import Binding, BindingInput, normalize, \
-    problem_size
+    problem_size, require_data
 
 __all__ = ["CodegenInfo", "ExecutionReport", "ExecutionStrategy",
            "ctype_for"]
@@ -66,7 +66,9 @@ class CodegenInfo:
 class ExecutionReport:
     """Everything one execution produced.
 
-    ``output`` is ``None`` for dry-run (planning) executions.  The
+    ``output`` is ``None`` only on a report rebuilt by
+    :meth:`from_json` (dry plans yield a
+    :class:`~repro.strategies.planner.PlanResult`, not a report).  The
     ``counts``/``timing``/``mem_high_water`` triple feeds Table II, Fig 5,
     and Fig 6 respectively; ``generated_sources`` holds the OpenCL C the
     strategy emitted, for inspection and validation.
@@ -178,9 +180,12 @@ class ExecutionStrategy:
 
         Plannable strategies (those defining ``build_plan``, which emits
         the op schedule) inherit this: prepare, build, launch.  The others
-        (streaming, multi-device) override it.
+        (streaming, multi-device) override it.  Shape-only bindings raise
+        :class:`~repro.errors.StrategyError`: shapes are walked by
+        :func:`repro.strategies.plan`, not executed.
         """
         bindings, n, dtype = self.prepare(network, arrays)
+        require_data(bindings)
         plan = self.build_plan(network, bindings, n, dtype)
         log = get_logger()
         if log.debug_enabled:

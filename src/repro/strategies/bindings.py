@@ -2,8 +2,9 @@
 
 A strategy needs, for every ``source`` node, either a real NumPy array
 (live execution) or just its shape/dtype (dry-run planning at full paper
-scale).  :class:`ArraySpec` is the shape-only form; :func:`normalize`
-accepts a mix and returns a uniform mapping.
+scale, :func:`repro.strategies.plan`).  :class:`ArraySpec` is the
+shape-only form; :func:`normalize` accepts a mix and returns a uniform
+mapping, and :func:`require_data` guards the paths that execute.
 
 The *problem size* — the element count of every derived intermediate and of
 the output — is the largest floating-point source, i.e. the mesh field
@@ -19,7 +20,8 @@ import numpy as np
 
 from ..errors import StrategyError
 
-__all__ = ["ArraySpec", "Binding", "normalize", "problem_size"]
+__all__ = ["ArraySpec", "Binding", "normalize", "problem_size",
+           "require_data"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,18 @@ def normalize(arrays: Mapping[str, BindingInput],
             out[name] = Binding(
                 name, ArraySpec(array.shape, array.dtype), array)
     return out
+
+
+def require_data(bindings: Mapping[str, Binding],
+                 error: type[Exception] = StrategyError) -> None:
+    """Raise ``error`` when any binding is shape-only: execution needs
+    arrays, and shapes are planned, not run."""
+    shape_only = sorted(name for name, binding in bindings.items()
+                        if binding.data is None)
+    if shape_only:
+        raise error(
+            f"bindings {shape_only} are shape-only (ArraySpec) and cannot "
+            "execute; plan shapes with repro.strategies.plan()")
 
 
 def problem_size(bindings: Mapping[str, Binding]) -> tuple[int, np.dtype]:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from ..clsim.device import DeviceSpec, DeviceType
 from ..clsim.environment import CLEnvironment, TimingSummary
 from ..clsim.events import EventCounts
@@ -25,7 +23,7 @@ from ..dataflow.network import Network
 from ..errors import StrategyError
 from ..primitives.base import ResultKind, VECTOR_WIDTH
 from .base import ExecutionReport, ExecutionStrategy
-from .bindings import BindingInput
+from .bindings import BindingInput, require_data
 from .chunking import (assemble, chunk_bindings, discover_mesh, halo_width,
                        plan_chunks)
 from .fusion import FusionStrategy
@@ -69,10 +67,7 @@ class MultiDeviceStrategy(ExecutionStrategy):
         so one instance is safe to reuse concurrently.
         """
         bindings, n, dtype = self.prepare(network, arrays)
-        if env.dry_run:
-            raise StrategyError(
-                "multi-device runs live; plan one slab per device with "
-                "the inner strategy instead")
+        require_data(bindings)
         host_arrays = {name: binding.data
                        for name, binding in bindings.items()}
         layout = discover_mesh(host_arrays, n)

@@ -20,7 +20,9 @@ executors, precomputed byte sizes and
 ``run()`` only binds input arrays and replays it — producing the
 *identical* event sequence, allocation order, and bitwise-identical
 output of a cold run.  :meth:`ExecutablePlan.model` walks the same
-schedule for its modeled effects alone: that is a dry run.
+schedule for its modeled effects alone: that is a dry run, and
+:func:`~repro.strategies.planner.plan` is the one place that runs it on
+shapes.
 
 Strategies that support planning implement ``build_plan()`` and inherit
 :meth:`~repro.strategies.base.ExecutionStrategy.execute`, which routes
@@ -352,17 +354,13 @@ class ExecutablePlan:
         self.ops = ops
 
     def launch(self, bindings: Mapping[str, Binding],
-               env: CLEnvironment) -> Optional[np.ndarray]:
-        """Run the op schedule on ``env`` and return the raw output (None
-        when planning dry: a dry environment gets the :meth:`model` walk).
+               env: CLEnvironment) -> np.ndarray:
+        """Run the op schedule on ``env`` and return the raw output.
         Buffers still live when the schedule ends — or when an op fails
         (OOM, validation) — are released."""
         with env.tracer.span("plan.schedule", category="strategy",
                              strategy=self.strategy_name,
                              ops=len(self.ops)):
-            if env.dry_run:
-                self.model(env.context.allocator, env.queue.log)
-                return None
             queue = env.queue
             host = {s: bindings[s].data for s in self.source_order}
             live: dict[int, Buffer] = {}
@@ -402,7 +400,8 @@ class ExecutablePlan:
         ``allocator``, and the upload, kernel and read events a live
         launch records, in ``log``.  A reservation that does not fit
         raises :class:`~repro.errors.CLOutOfMemoryError` after the events
-        before it; whatever is still reserved is released."""
+        before it; whatever is still reserved is released.  This walk is
+        a dry run: :func:`repro.strategies.plan` runs it on shapes."""
         device = allocator.device
         reserved: dict[int, tuple[int, str]] = {}   # slot -> (size, label)
         try:

@@ -1,9 +1,9 @@
 """Dry-run planning: full-paper-scale experiments without the data.
 
-A plan runs a strategy's ``execute`` unmodified against a dry-run
-:class:`~repro.clsim.environment.CLEnvironment`, where the strategy's op
-schedule is walked for its modeled effects only
-(:meth:`~repro.strategies.plancache.ExecutablePlan.model`): buffer sizes
+A plan is the strategy's op schedule walked for its modeled effects
+only (:meth:`~repro.strategies.plancache.ExecutablePlan.model`):
+:func:`plan` builds the schedule from shape-only bindings and runs the
+walk on a fresh environment's allocator and event log.  Buffer sizes
 are reserved on the allocator (so out-of-memory failures happen exactly
 where they would on the real device) and every transfer and kernel event
 is logged with its modeled duration, but no buffer or data exists.  This
@@ -20,7 +20,7 @@ from ..clsim.device import DeviceSpec, DeviceType
 from ..clsim.environment import CLEnvironment, TimingSummary
 from ..clsim.events import EventCounts
 from ..dataflow.network import Network
-from ..errors import CLOutOfMemoryError
+from ..errors import CLOutOfMemoryError, StrategyError
 from .base import ExecutionStrategy
 from .bindings import ArraySpec
 from .reference import ReferenceKernel
@@ -56,34 +56,39 @@ def plan(strategy: Union[ExecutionStrategy, ReferenceKernel],
          shapes: Mapping[str, ArraySpec],
          device: Union[str, DeviceType, DeviceSpec],
          network: Optional[Network] = None) -> PlanResult:
-    """Dry-run ``strategy`` over shape-only bindings on ``device``.
+    """Walk ``strategy``'s op schedule over shape-only bindings on
+    ``device``.
 
     ``network`` is required for :class:`ExecutionStrategy` instances and
     ignored for :class:`ReferenceKernel` (which binds its own inputs).
+    Strategies without an op schedule (streaming, multi-device) cannot
+    be planned.
     """
-    env = CLEnvironment(device, dry_run=True)
+    if isinstance(strategy, ReferenceKernel):
+        bindings, n, dtype = strategy.prepare(shapes)
+        schedule = strategy.build_plan(bindings, n, dtype)
+    else:
+        if network is None:
+            raise ValueError("network required for strategy plans")
+        if not hasattr(strategy, "build_plan"):
+            raise StrategyError(
+                f"{strategy.name} works on live arrays and has no op "
+                "schedule to plan; plan one chunk or slab with its "
+                "inner strategy instead")
+        bindings, n, dtype = strategy.prepare(network, shapes)
+        schedule = strategy.build_plan(network, bindings, n, dtype)
+    env = CLEnvironment(device)
+    error = None
     try:
-        if isinstance(strategy, ReferenceKernel):
-            report = strategy.execute(shapes, env)
-        else:
-            if network is None:
-                raise ValueError("network required for strategy plans")
-            report = strategy.execute(network, shapes, env)
+        schedule.model(env.context.allocator, env.queue.log)
     except CLOutOfMemoryError as exc:
-        return PlanResult(
-            strategy=strategy.name,
-            device=env.device.name,
-            failed=True,
-            mem_high_water=env.mem_high_water,
-            counts=env.event_counts(),
-            timing=None,
-            error=str(exc),
-        )
+        error = str(exc)
     return PlanResult(
         strategy=strategy.name,
         device=env.device.name,
-        failed=False,
-        mem_high_water=report.mem_high_water,
-        counts=report.counts,
-        timing=report.timing,
+        failed=error is not None,
+        mem_high_water=env.mem_high_water,
+        counts=env.event_counts(),
+        timing=None if error is not None else env.timing(),
+        error=error,
     )

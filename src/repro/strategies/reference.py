@@ -12,7 +12,8 @@ Each reference here is a hand-written OpenCL kernel string plus a direct
 NumPy implementation (from :mod:`repro.analysis.vortex`).  It emits the
 same kind of op schedule the strategies do — upload every input, one
 kernel, read the output back — and runs through the shared launcher, so
-its events, memory, and timing are measured identically, live or dry.
+its events, memory, and timing are measured identically, live or
+planned (:func:`repro.strategies.plan`).
 It is *not* an :class:`ExecutionStrategy` over a network — it is the
 custom one-off solution the framework is competing with.
 """
@@ -32,7 +33,8 @@ from ..errors import StrategyError
 from ..primitives.base import ResultKind
 from ..primitives.gradient import GRAD3D
 from .base import ExecutionReport, ctype_for
-from .bindings import Binding, BindingInput, normalize, problem_size
+from .bindings import Binding, BindingInput, normalize, problem_size, \
+    require_data
 from .plancache import AllocOp, ExecutablePlan, KernelOp, ReadOp, UploadOp
 
 __all__ = ["ReferenceKernel", "REFERENCE_FLOPS"]
@@ -181,10 +183,15 @@ class ReferenceKernel:
             output_uniform=False,
             generated_sources={kernel.name: source})
 
+    def prepare(self, arrays: Mapping[str, BindingInput],
+                ) -> tuple[dict[str, Binding], int, np.dtype]:
+        """Normalize this kernel's own inputs and size the problem."""
+        bindings = normalize(arrays, list(_KERNELS[self.expression][2]))
+        n, dtype = problem_size(bindings)
+        return bindings, n, np.dtype(dtype)
+
     def execute(self, arrays: Mapping[str, BindingInput],
                 env: CLEnvironment) -> ExecutionReport:
-        inputs = _KERNELS[self.expression][2]
-        bindings = normalize(arrays, list(inputs))
-        n, dtype = problem_size(bindings)
-        plan = self.build_plan(bindings, n, np.dtype(dtype))
-        return plan.run(bindings, env)
+        bindings, n, dtype = self.prepare(arrays)
+        require_data(bindings)
+        return self.build_plan(bindings, n, dtype).run(bindings, env)

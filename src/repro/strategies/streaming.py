@@ -37,7 +37,7 @@ from ..dataflow.network import Network
 from ..primitives.base import ResultKind, VECTOR_WIDTH
 from ..errors import StrategyError
 from .base import ExecutionReport, ExecutionStrategy
-from .bindings import BindingInput
+from .bindings import BindingInput, require_data
 from .chunking import (assemble, chunk_bindings, discover_mesh, halo_width,
                        plan_chunks)
 from .fusion import FusionStrategy
@@ -64,10 +64,7 @@ class StreamingFusionStrategy(ExecutionStrategy):
                 arrays: Mapping[str, BindingInput],
                 env: CLEnvironment) -> ExecutionReport:
         bindings, n, dtype = self.prepare(network, arrays)
-        if env.dry_run:
-            raise StrategyError(
-                "streaming works on live arrays; plan its memory bound by "
-                "planning a single chunk with FusionStrategy instead")
+        require_data(bindings)
         host_arrays = {name: binding.data
                        for name, binding in bindings.items()}
         layout = discover_mesh(host_arrays, n)

@@ -87,8 +87,9 @@ class TestKernels:
 
 
 class TestDryRun:
-    """A dry environment runs a plan's modeled walk: no executor, no
-    buffers, no output — the same events and peak as a live launch."""
+    """A dry run is a plan's modeled walk over an environment's allocator
+    and event log: no executor, no buffers, no output — the same events
+    and peak as a live launch."""
 
     @staticmethod
     def plan(kernel):
@@ -107,28 +108,32 @@ class TestDryRun:
         from repro.strategies.bindings import ArraySpec, Binding
         return {"a": Binding("a", ArraySpec((8,), np.float64), data)}
 
+    @staticmethod
+    def model(plan, env):
+        plan.model(env.context.allocator, env.queue.log)
+
     def test_dry_kernel_skips_executor(self):
-        env = CLEnvironment("cpu", dry_run=True)
+        env = CLEnvironment("cpu")
         boom = Kernel("boom", "", executor=lambda x: 1 / 0)
-        self.plan(boom).launch(self.bindings(None), env)
+        self.model(self.plan(boom), env)
         assert env.event_counts().kernel_execs == 1
 
-    def test_dry_read_returns_none(self):
-        env = CLEnvironment("cpu", dry_run=True)
-        assert self.plan(square_kernel()).launch(self.bindings(None),
-                                                 env) is None
+    def test_dry_read_records_and_releases(self):
+        env = CLEnvironment("cpu")
+        self.model(self.plan(square_kernel()), env)
         assert env.event_counts().dev_reads == 1
         assert env.mem_in_use == 0
 
     def test_dry_and_live_events_identical(self):
-        def run(env, data):
-            self.plan(square_kernel()).launch(self.bindings(data), env)
+        def measured(env):
             return env.event_counts(), env.timing().total, \
                 env.mem_high_water
 
-        live = run(CLEnvironment("gpu"), np.zeros(8))
-        dry = run(CLEnvironment("gpu", dry_run=True), None)
-        assert live == dry
+        live = CLEnvironment("gpu")
+        self.plan(square_kernel()).launch(self.bindings(np.zeros(8)), live)
+        dry = CLEnvironment("gpu")
+        self.model(self.plan(square_kernel()), dry)
+        assert measured(live) == measured(dry)
 
 
 class TestEnvironment:

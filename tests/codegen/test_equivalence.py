@@ -28,8 +28,7 @@ EXTRA_EXPRESSIONS = {
 def _reference(strategy, expression, fields):
     """A cold, unpooled, interpreter-backed run: the seed behavior."""
     engine = DerivedFieldEngine(device="cpu", strategy=strategy,
-                                backend="vectorized", plan_cache=False,
-                                pooling=False)
+                                backend="vectorized", plan_cache=False)
     return engine.execute(expression, fields)
 
 

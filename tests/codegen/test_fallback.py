@@ -27,7 +27,7 @@ class TestInterpreterFallback:
                                           broken_codegen):
         reference = DerivedFieldEngine(
             device="cpu", strategy="fusion", backend="vectorized",
-            plan_cache=False, pooling=False).execute(
+            plan_cache=False).execute(
                 vortex.Q_CRITERION, small_fields)
         engine = DerivedFieldEngine(device="cpu", strategy="fusion",
                                     backend="compiled")

@@ -37,6 +37,20 @@ class TestRunCase:
         assert case.runtime is None
 
 
+def test_sweep_compiles_each_expression_once():
+    """A sweep plans 216 strategy cases over 3 expressions; compiling is
+    per expression, not per case."""
+    from repro.analysis.vortex import EXPRESSIONS
+    from repro.metrics import MetricsRegistry, set_registry
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        run_sweep()
+    finally:
+        set_registry(previous)
+    assert registry.value("repro_engine_compile_total") == len(EXPRESSIONS)
+
+
 class TestFormatting:
     def test_table1_has_all_rows(self):
         table = format_table1()

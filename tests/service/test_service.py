@@ -68,6 +68,15 @@ class TestCorrectness:
             # a synchronous rejection never counts as admitted work
             assert service.snapshot()["requests"]["submitted"] == 0
 
+    def test_shape_only_request_rejected_synchronously(self, fields):
+        from repro.strategies import ArraySpec
+        shapes = {k: ArraySpec(fields[k].shape, fields[k].dtype)
+                  for k in EXPRESSION_INPUTS["velocity_magnitude"]}
+        with DerivedFieldService(devices=("cpu",)) as service:
+            with pytest.raises(HostInterfaceError, match=r"plan\(\)"):
+                service.submit(EXPRESSIONS["velocity_magnitude"], shapes)
+            assert service.snapshot()["requests"]["submitted"] == 0
+
 
 class TestSnapshot:
     def test_snapshot_is_json_serializable(self, fields):

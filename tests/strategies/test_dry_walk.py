@@ -31,26 +31,43 @@ def trace(env):
 
 
 def run(runner, arrays, device, dry):
-    """Run ``runner`` on a fresh environment; returns (env, error)."""
-    env = CLEnvironment(device, dry_run=dry)
+    """Run on a fresh environment — a live launch over ``arrays``, or
+    (``dry``) the op schedule's modeled walk over their shapes; returns
+    (env, error)."""
+    live, schedule = runner
+    env = CLEnvironment(device)
     try:
-        runner(shapes_of(arrays) if dry else arrays, env)
+        if dry:
+            schedule(shapes_of(arrays)).model(env.context.allocator,
+                                              env.queue.log)
+        else:
+            live(arrays, env)
     except CLOutOfMemoryError as exc:
         return env, str(exc)
     return env, None
 
 
 def runner_for(case):
-    """``case`` is ``"<strategy>-<expression>"``; the reference kernels
-    bind their own inputs, the strategies run the compiled network."""
+    """``case`` is ``"<strategy>-<expression>"``; returns ``(live,
+    schedule)``: ``live(arrays, env)`` executes, ``schedule(shapes)``
+    builds the op schedule.  The reference kernels bind their own
+    inputs, the strategies run the compiled network."""
     executor, expression = case.split("-", 1)
     if executor == "reference":
-        return ReferenceKernel(expression).execute
+        kernel = ReferenceKernel(expression)
+        return (kernel.execute,
+                lambda shapes: kernel.build_plan(*kernel.prepare(shapes)))
+    strategy = get_strategy(executor)
     network = DerivedFieldEngine().compile(
         vortex.EXPRESSIONS[expression]).network
     inputs = vortex.EXPRESSION_INPUTS[expression]
-    return (lambda arrays, env: get_strategy(executor).execute(
-        network, {k: arrays[k] for k in inputs}, env))
+
+    def pick(arrays):
+        return {k: arrays[k] for k in inputs}
+
+    return (lambda arrays, env: strategy.execute(network, pick(arrays), env),
+            lambda shapes: strategy.build_plan(
+                network, *strategy.prepare(network, pick(shapes))))
 
 
 CASES = [f"{executor}-{expression}"

@@ -148,13 +148,15 @@ class TestStreamingStrategy:
         assert report.counts.dev_reads == 4
 
     def test_dry_run_rejected(self, fields):
-        from repro.strategies import ArraySpec
+        from repro.strategies import ArraySpec, plan
         network = DerivedFieldEngine().compile(vortex.Q_CRITERION).network
         shapes = {k: ArraySpec(v.shape, v.dtype)
                   for k, v in fields.items()}
         with pytest.raises(StrategyError, match="live arrays"):
-            StreamingFusionStrategy(2).execute(
-                network, shapes, CLEnvironment("gpu", dry_run=True))
+            plan(StreamingFusionStrategy(2), shapes, "gpu", network=network)
+        with pytest.raises(StrategyError, match=r"plan\(\)"):
+            StreamingFusionStrategy(2).execute(network, shapes,
+                                               CLEnvironment("gpu"))
 
     def test_bad_chunk_count_rejected(self):
         with pytest.raises(StrategyError):

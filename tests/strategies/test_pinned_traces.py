@@ -98,9 +98,12 @@ def _dry(name: str, strategy: str, device: str, grid: SubGrid) -> dict:
     network = _network(EXPRESSIONS[name])
     wanted = set(network.live_sources())
     shapes = {k: v for k, v in make_shapes(grid).items() if k in wanted}
-    env = CLEnvironment(device, dry_run=True)
+    env = CLEnvironment(device)
+    executor = get_strategy(strategy)
     try:
-        get_strategy(strategy).execute(network, shapes, env)
+        executor.build_plan(
+            network, *executor.prepare(network, shapes)).model(
+                env.context.allocator, env.queue.log)
         failed = False
     except CLOutOfMemoryError:
         failed = True

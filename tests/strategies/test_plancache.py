@@ -138,7 +138,7 @@ class TestEngineWarmPath:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_warm_bitwise_equals_cold(self, strategy, small_fields):
         cold = DerivedFieldEngine(device="cpu", strategy=strategy,
-                                  plan_cache=False, pooling=False)
+                                  plan_cache=False)
         warm = DerivedFieldEngine(device="cpu", strategy=strategy)
         cold_report = cold.execute(vortex.Q_CRITERION, small_fields)
         warm.execute(vortex.Q_CRITERION, small_fields)   # populate
@@ -196,7 +196,7 @@ class TestEngineWarmPath:
 
     def test_cache_disabled_matches_seed_behavior(self, small_fields):
         engine = DerivedFieldEngine(device="cpu", strategy="fusion",
-                                    plan_cache=False, pooling=False)
+                                    plan_cache=False)
         report = engine.execute(vortex.VELOCITY_MAGNITUDE, small_fields)
         assert report.cache is None
         assert report.alloc is not None

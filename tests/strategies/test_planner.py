@@ -7,9 +7,13 @@ import pytest
 from repro.analysis.vortex import EXPRESSIONS
 from repro.clsim import GIB
 from repro.dataflow import Network, NetworkSpec
+from repro.clsim import CLEnvironment
+from repro.errors import HostInterfaceError, StrategyError
 from repro.host.engine import DerivedFieldEngine
-from repro.strategies import (ArraySpec, FusionStrategy, ReferenceKernel,
-                              RoundtripStrategy, StagedStrategy, plan)
+from repro.strategies import (ArraySpec, ExecutionStrategy, FusionStrategy,
+                              MultiDeviceStrategy, ReferenceKernel,
+                              RoundtripStrategy, StagedStrategy,
+                              StreamingFusionStrategy, get_strategy, plan)
 from repro.workloads import TABLE1_SUBGRIDS, make_shapes
 
 F8 = np.dtype(np.float64)
@@ -138,3 +142,59 @@ class TestPaperScaleFailures:
         from repro.experiments import run_sweep
         results = run_sweep(devices=("cpu",))
         assert all(not r.failed for r in results)
+
+
+class TestPlanIsTheWalk:
+    """``plan()`` builds the op schedule and walks it; it never runs a
+    strategy's ``execute``."""
+
+    def test_plan_calls_no_execute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("plan() must not execute")
+
+        monkeypatch.setattr(ExecutionStrategy, "execute", refuse)
+        monkeypatch.setattr(ReferenceKernel, "execute", refuse)
+        shapes = make_shapes(TABLE1_SUBGRIDS[0])
+        net = engine_network(EXPRESSIONS["q_criterion"], "staged")
+        assert not plan(StagedStrategy(), shapes, "gpu",
+                        network=net).failed
+        assert not plan(ReferenceKernel("q_criterion"), shapes,
+                        "gpu").failed
+
+    @pytest.mark.parametrize("strategy", [StreamingFusionStrategy(2),
+                                          MultiDeviceStrategy()])
+    def test_live_only_strategies_cannot_be_planned(self, strategy):
+        with pytest.raises(StrategyError, match="live arrays"):
+            plan(strategy, chain_shapes(10), "gpu", network=chain_network())
+
+
+class TestShapeOnlyBindingsDoNotExecute:
+    """Shapes are planned; every path that executes rejects them up front
+    and names ``plan()``."""
+
+    SPECS = {"u": ArraySpec((8,), F8), "v": ArraySpec((8,), F8)}
+
+    @pytest.mark.parametrize("strategy", ["roundtrip", "staged", "fusion"])
+    def test_engine_rejects(self, strategy):
+        engine = DerivedFieldEngine(strategy=strategy)
+        with pytest.raises(HostInterfaceError, match=r"plan\(\)"):
+            engine.execute("a = u * v", self.SPECS)
+
+    @pytest.mark.parametrize("strategy", ["roundtrip", "staged", "fusion"])
+    def test_strategy_execute_rejects(self, strategy):
+        net = engine_network("a = u * v", strategy)
+        env = CLEnvironment("cpu")
+        with pytest.raises(StrategyError, match=r"plan\(\)"):
+            get_strategy(strategy).execute(net, self.SPECS, env)
+        assert env.event_counts().as_row() == (0, 0, 0)
+
+    def test_reference_execute_rejects(self):
+        with pytest.raises(StrategyError, match=r"plan\(\)"):
+            ReferenceKernel("q_criterion").execute(
+                make_shapes(TABLE1_SUBGRIDS[0]), CLEnvironment("cpu"))
+
+    @pytest.mark.parametrize("strategy", ["roundtrip", "staged", "fusion"])
+    def test_plan_still_accepts_shapes(self, strategy):
+        result = plan(get_strategy(strategy), self.SPECS, "cpu",
+                      network=engine_network("a = u * v", strategy))
+        assert not result.failed and result.counts.dev_reads >= 1

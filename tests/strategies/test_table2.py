@@ -47,12 +47,12 @@ def test_event_counts_identical_in_dry_run(expression, strategy,
                                            small_fields):
     """Planning must see exactly the events live execution sees."""
     net = network_for(expression)
+    from repro.strategies import plan
     from repro.strategies.bindings import ArraySpec
     shapes = {k: ArraySpec(small_fields[k].shape, small_fields[k].dtype)
               for k in net.live_sources()}
-    report = get_strategy(strategy).execute(
-        net, shapes, CLEnvironment("cpu", dry_run=True))
-    assert report.counts.as_row() == TABLE_II[(expression, strategy)]
+    result = plan(get_strategy(strategy), shapes, "cpu", network=net)
+    assert result.counts.as_row() == TABLE_II[(expression, strategy)]
 
 
 def test_roundtrip_writes_equal_argument_occurrences(small_fields):
