@@ -23,6 +23,7 @@ from repro.clsim import CLEnvironment, KernelCost
 from repro.host import DerivedFieldEngine
 from repro.strategies import ExecutionStrategy, FusionStrategy
 from repro.strategies.fusion import plan_stages
+from repro.strategies.plancache import KernelOp
 from repro.workloads import SubGrid, make_fields
 
 
@@ -47,8 +48,10 @@ class ChunkedFusionStrategy(ExecutionStrategy):
                 == "GLOBAL" for node in stages[0].nodes):
             raise ValueError("chunked strategy supports pointwise "
                              "networks only")
-        kernel, cost, _source = self._fusion._generate(
-            network, stages[0], bindings, n, dtype)
+        (fused,) = [op for op in self._fusion.build_plan(
+                        network, bindings, n, dtype).ops
+                    if isinstance(op, KernelOp)]
+        kernel, cost = fused.kernel, fused.cost
 
         output_id = network.output_ids()[0]
         out = np.empty(n, dtype=dtype)

@@ -20,7 +20,7 @@ from .device import (DeviceSpec, DeviceType, GIB, INTEL_X5660_CPU, KIB, MIB,
                      NVIDIA_M2050_GPU)
 from .environment import CLEnvironment, TimingSummary
 from .events import Event, EventCounts, EventKind, EventLog
-from .kernel import Kernel, Program
+from .kernel import Kernel, KernelSources, Program
 from .perfmodel import KernelCost, build_seconds, kernel_seconds, \
     transfer_seconds
 from .platform import Platform, find_device, get_platforms
@@ -31,7 +31,8 @@ __all__ = [
     "KernelSourceBuilder", "validate_source",
     "Context", "DeviceSpec", "DeviceType", "GIB", "KIB", "MIB",
     "INTEL_X5660_CPU", "NVIDIA_M2050_GPU", "CLEnvironment", "TimingSummary",
-    "Event", "EventCounts", "EventKind", "EventLog", "Kernel", "Program",
+    "Event", "EventCounts", "EventKind", "EventLog", "Kernel",
+    "KernelSources", "Program",
     "KernelCost", "build_seconds", "kernel_seconds", "transfer_seconds",
     "Platform", "find_device", "get_platforms", "CommandQueue",
 ]

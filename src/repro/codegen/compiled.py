@@ -14,6 +14,10 @@ trace's per-kind totals.  Event counts, modeled timings, transfer
 bytes, and the Fig 6 peak therefore match the interpreter bit-for-bit;
 only the host wall time changes (that is the point).
 
+A compiled plan shares its base plan's ``generated_sources``: the
+OpenCL C the sweep replaces is built (and validated) only when something
+reads it — a report's JSON, ``--show-kernels``, or ``entry()``.
+
 ``entry()``/``from_entry()`` round-trip a plan through JSON for the
 on-disk cache: the sweep *source* is persisted (compiled closures cannot
 be pickled portably) and re-``exec``'d on load against the loading
@@ -205,4 +209,4 @@ def compile_plan(base_plan: ExecutablePlan, network: Network,
         output_id=base_plan.output_id,
         output_kind=base_plan.output_kind,
         output_uniform=base_plan.output_uniform,
-        generated_sources=dict(base_plan.generated_sources))
+        generated_sources=base_plan.generated_sources)

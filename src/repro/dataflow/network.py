@@ -165,6 +165,24 @@ class Network:
     def live_sources(self) -> list[str]:
         return list(self._live_sources)
 
+    def stencil_depth(self) -> int:
+        """The longest chain of stencil (global-access) primitives through
+        computed values: a gradient of a gradient's result is depth 2.
+        Each stencil reads one neighbour per side, so a block needs this
+        many halo (ghost) layers for every value at its seams to be
+        exact."""
+        depth: dict[str, int] = {}
+        for node_id in self._order:
+            node = self.spec.node(node_id)
+            if node.filter in (SOURCE, CONST):
+                depth[node_id] = 0
+                continue
+            stencil = (self.registry.get(node.filter).call_style
+                       is CallStyle.GLOBAL)
+            depth[node_id] = stencil + max(
+                (depth[i] for i in node.inputs), default=0)
+        return max(depth.values(), default=0)
+
     def n_filters(self) -> int:
         return sum(1 for node_id in self._order
                    if self.spec.node(node_id).filter not in (SOURCE, CONST))

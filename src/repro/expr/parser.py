@@ -1,8 +1,11 @@
 """Public parsing entry point for user expressions.
 
-The lexer and LALR(1) table are built once per process and reused — table
-construction is the expensive step, and an in-situ host calls
-:func:`parse` once per expression per time step.
+The lexer and parser are built once per process and reused, and an
+in-situ host calls :func:`parse` once per expression per time step.  Table
+construction is the expensive step, so the LALR(1) table is frozen ahead
+of time into :mod:`repro.expr.parsetab` (regenerated by ``python -m
+repro.expr.freeze``) and loaded when its grammar fingerprint matches;
+otherwise it is built in memory.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from functools import lru_cache
 
 from ..errors import ExpressionError
 from ..lexyacc import Lexer, LRParser
+from ..lexyacc.frozen import load_table
+from . import parsetab
 from .ast import Program
 from .grammar import expression_grammar
 from .lexrules import expression_lexer
@@ -20,7 +25,9 @@ __all__ = ["parse", "parser_diagnostics"]
 
 @lru_cache(maxsize=1)
 def _machinery() -> tuple[Lexer, LRParser]:
-    return expression_lexer(), LRParser(expression_grammar())
+    grammar = expression_grammar()
+    return expression_lexer(), LRParser(grammar,
+                                        load_table(grammar, parsetab))
 
 
 def parse(text: str) -> Program:

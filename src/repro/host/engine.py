@@ -10,8 +10,8 @@ if the data set changes."*
 The engine extends that amortization down through execution.  On top of
 the expression cache it keeps an LRU :class:`~repro.strategies.plancache.
 PlanCache` of :class:`~repro.strategies.plancache.ExecutablePlan` objects —
-planned stages, generated + validated OpenCL C, compiled kernels, buffer
-sizes — and a persistent pooled
+planned stages, generated + validated OpenCL C, compiled kernels (fusion
+builds these two on first use), buffer sizes — and a persistent pooled
 :class:`~repro.clsim.environment.CLEnvironment` whose buffer pool recycles
 device reservations between runs.  A warm ``execute()`` therefore only
 binds the new arrays, launches, and reads back.  Cold and warm runs share
@@ -434,6 +434,11 @@ class DerivedFieldEngine:
                             plan = self.strategy.build_plan(
                                 head.compiled.network, head.bindings,
                                 head.n, head.dtype)
+                    if not isinstance(plan, CompiledPlan):
+                        # An interpreter plan launches its kernels: build
+                        # them before caching, so a CLBuildError leaves
+                        # nothing cached.
+                        plan.pull_kernels()
                     self.plan_cache.put(head.key, plan)
                 codegen = None
                 if self.backend == "compiled":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...primitives.base import CallStyle
 from ..engine import CompiledExpression, DerivedFieldEngine
 from .contracts import Contract
 from .dataset import RectilinearDataset
@@ -35,16 +34,13 @@ class PythonExpressionFilter:
     # -- pipeline protocol -------------------------------------------------------
 
     def contract(self) -> Contract:
-        """Request the input fields — and ghost zones if the network uses
-        any stencil (global-access) primitive, i.e. the gradient."""
-        needs_ghost = any(
-            node.filter not in ("source", "const")
-            and self.compiled.network.registry.get(node.filter).call_style
-            is CallStyle.GLOBAL
-            for node in self.compiled.network.schedule())
+        """Request the input fields — and, if the network uses a stencil
+        (global-access) primitive such as the gradient, as many ghost
+        layers as its stencil depth."""
+        depth = self.compiled.network.stencil_depth()
         wanted = frozenset(self.compiled.required_inputs) - _MESH_NAMES
-        return Contract(fields=wanted, ghost_zones=needs_ghost,
-                        ghost_width=1 if needs_ghost else 0)
+        return Contract(fields=wanted, ghost_zones=depth > 0,
+                        ghost_width=depth)
 
     def provides(self) -> frozenset[str]:
         """The derived field this stage adds, satisfying downstream

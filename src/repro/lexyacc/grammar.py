@@ -9,6 +9,7 @@ resolve shift/reduce conflicts the same way yacc and PLY do.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -112,6 +113,15 @@ class Grammar:
             if self.is_terminal(symbol):
                 return self._prec_of.get(symbol)
         return None
+
+    def fingerprint(self) -> str:
+        """A digest of everything the LALR table depends on — the
+        productions (symbols and ``%prec``, not actions), the precedence
+        declarations and the start symbol — keying frozen tables."""
+        shape = (self.start,
+                 [(p.lhs, p.rhs, p.prec) for p in self.productions],
+                 sorted(self._prec_of.items()))
+        return hashlib.sha256(repr(shape).encode()).hexdigest()
 
     # -- NULLABLE / FIRST ----------------------------------------------------
 

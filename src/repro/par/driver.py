@@ -31,6 +31,7 @@ from ..host.visitsim.ghost import BlockExtent, decompose, extract_block
 from ..host.visitsim.pyexpr import PythonExpressionFilter
 from ..strategies import get_strategy
 from ..strategies.bindings import ArraySpec
+from ..strategies.plancache import PlanCache
 from ..strategies.planner import PlanResult, plan
 from .decomp import RankAssignment, assign_blocks
 from .mpi import Comm, World
@@ -70,6 +71,13 @@ class DistributedResult:
         return len(self.rank_stats)
 
 
+# Executable plans shared by every rank engine of every call: an in-situ
+# host runs the same expression each time step, so only the first step
+# builds (and compiles) plans.  PlanKey covers the device, strategy,
+# backend and block shapes, and the cache is thread-safe.
+_RANK_PLANS = PlanCache()
+
+
 def _rank_body(comm: Comm, read_block: Callable,
                assignments: list[RankAssignment], expression: str,
                strategy: str, device: str, ghost_width: Optional[int]):
@@ -79,7 +87,8 @@ def _rank_body(comm: Comm, read_block: Callable,
     blocks into ``(extent, ghosted dataset)`` — extracted from a global
     in-memory dataset, or read (ghosts included) from a brick store."""
     mine = assignments[comm.rank]
-    engine = DerivedFieldEngine(device=device, strategy=strategy)
+    engine = DerivedFieldEngine(device=device, strategy=strategy,
+                                plan_cache=_RANK_PLANS)
     expr_filter = PythonExpressionFilter(expression, engine=engine)
     # None = honour the expression's contract (the normal in-situ path);
     # an explicit width overrides it (0 disables ghosts, for ablation).
@@ -199,11 +208,13 @@ def plan_distributed(expression: str, *,
                      global_dims: tuple[int, int, int],
                      block_dims: tuple[int, int, int], n_ranks: int,
                      strategy: str = "fusion", device: str = "gpu",
-                     devices_per_node: int = 2, ghost_width: int = 1,
+                     devices_per_node: int = 2,
+                     ghost_width: Optional[int] = None,
                      dtype=np.float64) -> list[PlanResult]:
     """Full-scale dry-run: plan every rank's first block (all blocks are
     identically sized, so one plan per rank characterizes the run) and
-    scale by its block count.
+    scale by its block count.  ``ghost_width`` defaults, as in
+    :func:`run_distributed`, to the expression's stencil depth.
 
     Returns one :class:`PlanResult` per rank.
     """
@@ -212,6 +223,8 @@ def plan_distributed(expression: str, *,
                                 devices_per_node=devices_per_node)
     engine = DerivedFieldEngine(device=device, strategy=strategy)
     compiled = engine.compile(expression)
+    if ghost_width is None:
+        ghost_width = compiled.network.stencil_depth()
     dtype = np.dtype(dtype)
 
     results: list[PlanResult] = []

@@ -70,8 +70,10 @@ class ExecutionReport:
     :meth:`from_json` (dry plans yield a
     :class:`~repro.strategies.planner.PlanResult`, not a report).  The
     ``counts``/``timing``/``mem_high_water`` triple feeds Table II, Fig 5,
-    and Fig 6 respectively; ``generated_sources`` holds the OpenCL C the
-    strategy emitted, for inspection and validation.
+    and Fig 6 respectively; ``generated_sources`` maps kernel names to the
+    OpenCL C the strategy emitted, for inspection and validation — for a
+    fusion plan a read-only mapping whose sources are built and validated
+    on first read (:class:`~repro.clsim.kernel.KernelSources`).
 
     ``cache`` and ``alloc`` are filled in by the warm-execution path
     (:class:`~repro.host.engine.DerivedFieldEngine` with its plan cache):
@@ -89,7 +91,7 @@ class ExecutionReport:
     counts: EventCounts
     timing: TimingSummary
     mem_high_water: int
-    generated_sources: dict[str, str] = field(default_factory=dict)
+    generated_sources: Mapping[str, str] = field(default_factory=dict)
     cache: "Optional[CacheInfo]" = None
     alloc: Optional[AllocationStats] = None
     device_reports: "tuple[DeviceReport, ...]" = ()

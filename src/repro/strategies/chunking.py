@@ -21,7 +21,6 @@ import numpy as np
 
 from ..dataflow.network import Network
 from ..errors import StrategyError
-from ..primitives.base import CallStyle
 
 __all__ = ["MeshLayout", "Chunk", "discover_mesh", "halo_width",
            "plan_chunks", "chunk_bindings", "assemble"]
@@ -116,12 +115,10 @@ def discover_mesh(bindings: Mapping[str, np.ndarray],
 
 
 def halo_width(network: Network) -> int:
-    """One cell of halo when the network has a stencil primitive (the
-    gradient's central difference reads +-1 along each axis), else 0."""
-    return 1 if any(
-        network.registry.get(node.filter).call_style is CallStyle.GLOBAL
-        for node in network.schedule()
-        if node.filter not in ("source", "const")) else 0
+    """Cells of halo per slab side: the network's stencil depth (the
+    gradient's central difference reads +-1 along each axis, and a
+    gradient of a gradient's result reads +-2), 0 without a stencil."""
+    return network.stencil_depth()
 
 
 def plan_chunks(layout: MeshLayout, n_chunks: int,

@@ -22,22 +22,29 @@ gradient of ``u*u`` yields two fused kernels with one materialized
 intermediate, which OpenCL's lack of device-wide barriers makes
 unavoidable.
 
-Fusion is where plan caching pays most: stage planning, OpenCL C
-generation, structural validation, and ``exec``-compiling the NumPy
-executors all happen in :meth:`FusionStrategy.build_plan`;
-the plan's op tuple is just uploads + one alloc/kernel per stage + the
+Fusion is where plan caching pays most.  :meth:`FusionStrategy.build_plan`
+plans the stages and fixes each stage's kernel name and
+:class:`~repro.clsim.perfmodel.KernelCost` (bytes, flops, register
+liveness): everything the schedule, the modeled walk and the compiled
+backend read.  Generating the OpenCL C, validating it and
+``exec``-compiling the NumPy executors is left to the plan's
+:class:`~repro.clsim.kernel.KernelSources`, which does it once, on first
+read — an interpreter launch, a report's sources, the disk cache — so the
+compiled backend, which runs only its generated sweep, never pays for it.
+The plan's op tuple is just uploads + one alloc/kernel per stage + the
 single read-back, run by the shared launcher.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from ..clsim.compiler import KernelSourceBuilder, validate_source_cached
-from ..clsim.kernel import Kernel
+from ..clsim.kernel import Kernel, KernelSources
 from ..clsim.perfmodel import KernelCost
 from ..dataflow.network import Network
 from ..dataflow.spec import CONST, SOURCE, NodeSpec
@@ -163,11 +170,26 @@ class FusionStrategy(ExecutionStrategy):
     def build_plan(self, network: Network,
                    bindings: Mapping[str, Binding],
                    n: int, dtype: np.dtype) -> ExecutablePlan:
-        """Plan stages, generate + validate OpenCL C, and exec-compile the
-        NumPy executors — all the value-independent work."""
+        """Plan stages and emit the schedule: each stage's kernel name and
+        :class:`KernelCost` now; its OpenCL C (validated) and NumPy
+        executor on demand, built by the plan's
+        :class:`~repro.clsim.kernel.KernelSources` the first time a launch,
+        a report or the disk cache reads them."""
         stages, _materialize = plan_stages(network)
+        stages = [stage for stage in stages if stage.nodes]
         output_id = network.output_ids()[0]
         sources = tuple(network.live_sources())
+        spec = network.spec
+        ctypes = {node_id: _binding_ctype(bindings[node_id])
+                  for stage in stages for node_id in stage.reads
+                  if spec.node(node_id).filter == SOURCE}
+
+        def build() -> dict:
+            return {_kernel_name(stage): self._generate(
+                        network, stage, ctypes, n, dtype)
+                    for stage in stages}
+
+        kernels = KernelSources([_kernel_name(s) for s in stages], build)
 
         # Last stage that reads each materialized value, for eager release.
         last_read: dict[str, int] = {}
@@ -179,27 +201,23 @@ class FusionStrategy(ExecutionStrategy):
         slot_of = {source_id: slot for slot, source_id in enumerate(sources)}
         ops: list = [UploadOp(slot, source_id, bindings[source_id].nbytes)
                      for source_id, slot in slot_of.items()]
-        sources_out: dict[str, str] = {}
         for stage in stages:
-            if not stage.nodes:
-                continue  # degenerate network (output is a bare source)
-            kernel, cost, cl_source = self._generate(
-                network, stage, bindings, n, dtype)
-            sources_out[kernel.name] = cl_source
-            validate_source_cached(cl_source)
-
             for node_id in stage.writes:
                 slot_of[node_id] = len(slot_of)
                 ops.append(AllocOp(slot_of[node_id], node_id,
                                    self._node_nbytes(network, node_id,
                                                      bindings, n, dtype)))
+            kernel = Kernel(_kernel_name(stage),
+                            arg_names=tuple(_read_params(network, stage)),
+                            on_demand=kernels)
             ops.append(KernelOp(kernel,
                                 tuple(slot_of[i] for i in stage.reads),
                                 tuple(slot_of[i] for i in stage.writes),
-                                cost))
+                                self._stage_cost(network, stage, bindings,
+                                                 n, dtype)))
             releases = tuple(
                 slot_of[node_id] for node_id in stage.reads
-                if network.spec.node(node_id).filter != SOURCE
+                if spec.node(node_id).filter != SOURCE
                 and last_read.get(node_id, -1) == stage.index
                 and node_id != output_id)
             if releases:
@@ -217,34 +235,65 @@ class FusionStrategy(ExecutionStrategy):
             output_id=output_id,
             output_kind=network.kind_of(output_id),
             output_uniform=network.uniform(output_id),
-            generated_sources=sources_out,
+            generated_sources=kernels,
         )
+
+    def _stage_cost(self, network: Network, stage: FusedStage,
+                    bindings: Mapping[str, Binding], n: int,
+                    dtype: np.dtype) -> KernelCost:
+        """One stage's modeled cost: the global bytes it reads and
+        writes, its flops, and its peak live register words (the spill
+        model) — no code generated."""
+        registry = network.registry
+        flops = 0
+        live_words = 0
+        peak_words = 0
+        uses = Counter(i for m in stage.nodes for i in m.inputs)
+        remaining_uses = {node.id: uses[node.id] for node in stage.nodes}
+        for node in stage.nodes:
+            primitive = registry.get(node.filter)
+            flops += primitive.flops_per_element * n
+            live_words += (VECTOR_WIDTH if primitive.result_kind
+                           is ResultKind.VECTOR else 1)
+            peak_words = max(peak_words, live_words)
+            for input_id in set(node.inputs):
+                if input_id in remaining_uses:
+                    remaining_uses[input_id] -= node.inputs.count(input_id)
+                    if remaining_uses[input_id] <= 0 \
+                            and input_id not in stage.writes:
+                        input_kind = network.kind_of(input_id)
+                        live_words -= (VECTOR_WIDTH if input_kind
+                                       is ResultKind.VECTOR else 1)
+        global_bytes = sum(
+            self._node_nbytes(network, node_id, bindings, n, dtype)
+            for node_id in (*stage.reads, *stage.writes))
+        return KernelCost(global_bytes=global_bytes, flops=flops,
+                          register_words=peak_words,
+                          itemsize=dtype.itemsize, elements=n)
 
     # -- code generation -------------------------------------------------------
 
     def _generate(self, network: Network, stage: FusedStage,
-                  bindings: Mapping[str, Binding], n: int,
-                  dtype: np.dtype) -> tuple[Kernel, KernelCost, str]:
-        """Emit the OpenCL C and the NumPy executor for one fused stage."""
+                  ctypes: Mapping[str, str], n: int,
+                  dtype: np.dtype) -> tuple[str, Callable]:
+        """Emit and validate the OpenCL C, and ``exec``-compile the NumPy
+        executor, of one fused stage.  ``ctypes`` maps each source the
+        stage reads to its OpenCL type."""
         spec = network.spec
         registry = network.registry
         ctype = ctype_for(dtype)
         vec_ctype = f"{ctype}{VECTOR_WIDTH}"
-        builder = KernelSourceBuilder(f"k_fused_s{stage.index}")
+        builder = KernelSourceBuilder(_kernel_name(stage))
         py_lines: list[str] = []
         namespace: dict[str, object] = {"np": np}
 
         in_stage = {node.id: node for node in stage.nodes}
-        param_names: dict[str, str] = {}
+        read_params = _read_params(network, stage)
+        param_names = dict(zip(stage.reads, read_params))
 
-        for node_id in stage.reads:
-            node = spec.node(node_id)
-            is_source = node.filter == SOURCE
-            pname = _param_name(node_id, is_source)
-            param_names[node_id] = pname
-            if is_source:
-                builder.add_global_param(_binding_ctype(bindings[node_id]),
-                                         pname)
+        for node_id, pname in param_names.items():
+            if node_id in ctypes:
+                builder.add_global_param(ctypes[node_id], pname)
             else:
                 kind_ctype = (vec_ctype if network.kind_of(node_id)
                               is ResultKind.VECTOR else ctype)
@@ -267,19 +316,10 @@ class FusionStrategy(ExecutionStrategy):
                 return f"v_{input_id}"
             return param_names[input_id]
 
-        flops = 0
-        live_words = 0
-        peak_words = 0
-        remaining_uses = {
-            node.id: sum(1 for m in stage.nodes
-                         for i in m.inputs if i == node.id)
-            for node in stage.nodes}
-
         for node in stage.nodes:
             primitive = registry.get(node.filter)
-            flops += primitive.flops_per_element * n
-            is_vector = primitive.result_kind is ResultKind.VECTOR
-            local_ctype = vec_ctype if is_vector else ctype
+            local_ctype = (vec_ctype if primitive.result_kind
+                           is ResultKind.VECTOR else ctype)
 
             if primitive.call_style is CallStyle.GLOBAL:
                 operands = []
@@ -319,19 +359,6 @@ class FusionStrategy(ExecutionStrategy):
                 f"const {local_ctype} v_{node.id} = {call};")
             py_lines.append(f"v_{node.id} = {py_call}")
 
-            # Register liveness for the spill model.
-            live_words += VECTOR_WIDTH if is_vector else 1
-            peak_words = max(peak_words, live_words)
-            for input_id in set(node.inputs):
-                if input_id in remaining_uses:
-                    remaining_uses[input_id] -= sum(
-                        1 for i in node.inputs if i == input_id)
-                    if remaining_uses[input_id] <= 0 \
-                            and input_id not in stage.writes:
-                        input_kind = network.kind_of(input_id)
-                        live_words -= (VECTOR_WIDTH if input_kind
-                                       is ResultKind.VECTOR else 1)
-
         # Stores for materialized values.
         out_exprs = []
         for node_id in stage.writes:
@@ -350,7 +377,6 @@ class FusionStrategy(ExecutionStrategy):
 
         # Build the NumPy executor by exec-ing generated Python — the same
         # dynamic-generation step, on the simulation side.
-        read_params = [param_names[node_id] for node_id in stage.reads]
         py_src_lines = [f"def _fused({', '.join(read_params)}):"]
         py_src_lines.extend(f"    {line}" for line in py_lines)
         returns = ", ".join(out_exprs)
@@ -364,22 +390,23 @@ class FusionStrategy(ExecutionStrategy):
         exec(compile(py_source, f"<fused_stage_{stage.index}>", "exec"),
              namespace)
         fused_fn = namespace["_fused"]
+        validate_source_cached(cl_source)
 
         def executor(*args):
             results = fused_fn(*args)
             return results[0] if len(results) == 1 else results
 
-        kernel = Kernel(builder.kernel_name, cl_source, executor=executor,
-                        arg_names=tuple(read_params))
+        return cl_source, executor
 
-        itemsize = dtype.itemsize
-        global_bytes = sum(
-            self._node_nbytes(network, node_id, bindings, n, dtype)
-            for node_id in (*stage.reads, *stage.writes))
-        cost = KernelCost(global_bytes=global_bytes, flops=flops,
-                          register_words=peak_words, itemsize=itemsize,
-                          elements=n)
-        return kernel, cost, cl_source
+
+def _kernel_name(stage: FusedStage) -> str:
+    return f"k_fused_s{stage.index}"
+
+
+def _read_params(network: Network, stage: FusedStage) -> list[str]:
+    """The stage kernel's global parameter name for each value it reads."""
+    return [_param_name(node_id, network.spec.node(node_id).filter == SOURCE)
+            for node_id in stage.reads]
 
 
 def _as_field_factory(n: int, dtype: np.dtype):

@@ -14,7 +14,8 @@ not depend on array *values*: the op schedule (upload, alloc, kernel,
 read, release, host ops — the only thing the paper's strategies differ
 in), generated (and validated) OpenCL C, compiled
 :class:`~repro.clsim.kernel.Kernel` objects with their exec'd Python
-executors, precomputed byte sizes and
+executors — fusion builds these two on first read, see
+:class:`~repro.clsim.kernel.KernelSources` — precomputed byte sizes and
 :class:`~repro.clsim.perfmodel.KernelCost` models.  One launcher,
 :meth:`ExecutablePlan.launch`, runs any strategy's schedule; a warm
 ``run()`` only binds input arrays and replays it — producing the
@@ -47,7 +48,7 @@ import numpy as np
 from ..clsim.buffer import Allocator, Buffer
 from ..clsim.environment import CLEnvironment
 from ..clsim.events import Event, EventKind, EventLog
-from ..clsim.kernel import Kernel
+from ..clsim.kernel import Kernel, KernelSources
 from ..clsim.perfmodel import KernelCost, kernel_seconds, transfer_seconds
 from ..dataflow.network import Network
 from ..metrics import get_registry
@@ -341,7 +342,7 @@ class ExecutablePlan:
     def __init__(self, strategy_name: str, source_order: tuple[str, ...],
                  n: int, dtype: np.dtype, output_id: str,
                  output_kind: ResultKind, output_uniform: bool,
-                 generated_sources: dict[str, str],
+                 generated_sources: Mapping[str, str],
                  ops: tuple[Op, ...] = ()):
         self.strategy_name = strategy_name
         self.source_order = source_order
@@ -437,8 +438,15 @@ class ExecutablePlan:
             counts=env.event_counts(),
             timing=env.timing(),
             mem_high_water=env.mem_high_water,
-            generated_sources=dict(self.generated_sources),
+            generated_sources=self.generated_sources,
         )
+
+    def pull_kernels(self) -> None:
+        """Build the plan's on-demand kernels now — render, validate and
+        compile — so a :class:`~repro.errors.CLBuildError` surfaces here
+        rather than at a later launch."""
+        if isinstance(self.generated_sources, KernelSources):
+            self.generated_sources.kernels()
 
     def rebind(self, bindings: Mapping[str, Binding],
                current_sources: tuple[str, ...],

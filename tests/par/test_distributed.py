@@ -93,6 +93,29 @@ class TestDistributedRun:
                             block_dims=(6, 7, 8), n_ranks=2)
 
 
+class TestSharedRankPlans:
+    def test_second_identical_call_compiles_nothing(self, global_ds):
+        """Rank engines share plans across calls: an in-situ host's
+        second time step builds and compiles no plan."""
+        from repro.metrics import MetricsRegistry, set_registry
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            first = run_distributed(
+                vortex.Q_CRITERION, global_ds, block_dims=(3, 7, 4),
+                n_ranks=2, strategy="fusion", device="gpu")
+            compiles = registry.value("repro_codegen_compiles_total")
+            second = run_distributed(
+                vortex.Q_CRITERION, global_ds, block_dims=(3, 7, 4),
+                n_ranks=2, strategy="fusion", device="gpu")
+            assert registry.value("repro_codegen_compiles_total") \
+                == compiles
+        finally:
+            set_registry(previous)
+        assert second.field.tobytes() == first.field.tobytes()
+        assert second.rank_stats == first.rank_stats
+
+
 class TestDistributedPlan:
     def test_full_paper_scale(self):
         """Fig 7's configuration planned end to end: every one of the 256

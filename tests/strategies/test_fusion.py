@@ -130,7 +130,7 @@ class TestConstantOnlyExpressions:
 class TestRegisterAccounting:
     def test_qcrit_uses_more_registers_than_velmag(self, small_fields):
         # indirectly visible through the modeled kernel cost: fetch the
-        # planned register words via the stage generator
+        # planned register words via the stage cost model
         from repro.strategies.fusion import FusionStrategy
         strategy = FusionStrategy()
         for text, floor in [(vortex.VELOCITY_MAGNITUDE, 1),
@@ -139,6 +139,6 @@ class TestRegisterAccounting:
             bindings, n, dtype = strategy.prepare(
                 net, {k: small_fields[k] for k in net.live_sources()})
             stages, _ = plan_stages(net)
-            _, cost, _ = strategy._generate(net, stages[0], bindings, n,
-                                            dtype)
+            cost = strategy._stage_cost(net, stages[0], bindings, n,
+                                        dtype)
             assert cost.register_words >= floor
