@@ -77,8 +77,8 @@ class Allocator:
         # bound once here; per-device gauges reflect the most recently
         # active allocator on that device label (one warm engine per
         # device in every supported deployment).  ``registry`` overrides
-        # the process-wide registry — codegen's trace capture passes
-        # NULL_REGISTRY so its modeled walk stays unmetered.
+        # the process-wide registry — a plan's fold passes NULL_REGISTRY
+        # so its modeled walk stays unmetered.
         if registry is None:
             registry = get_registry()
         device_label = {"device": device.name}

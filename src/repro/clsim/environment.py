@@ -20,7 +20,7 @@ import numpy as np
 from .buffer import AllocationStats, Buffer, BufferPool
 from .context import Context
 from .device import DeviceSpec, DeviceType
-from .events import EventCounts, EventKind
+from .events import EventCounts, EventKind, EventLog
 from .platform import find_device
 from .queue import CommandQueue
 from ..trace import NULL_TRACER
@@ -53,6 +53,19 @@ class TimingSummary:
     def total(self) -> float:
         return self.host_to_device + self.kernel_exec + self.device_to_host
 
+    @classmethod
+    def of(cls, log: EventLog) -> "TimingSummary":
+        """Sum a log's events per category."""
+        return cls(
+            host_to_device=log.sim_time([EventKind.DEV_WRITE]),
+            kernel_exec=log.sim_time([EventKind.KERNEL]),
+            device_to_host=log.sim_time([EventKind.DEV_READ]),
+            build=log.sim_time([EventKind.BUILD]),
+            wall=log.wall_time(),
+            makespan=max(((e.ts_seconds or 0.0) + e.sim_seconds
+                          for e in log.events), default=0.0),
+        )
+
 
 class CLEnvironment:
     """One device's context, queue, and instrumentation.
@@ -84,11 +97,12 @@ class CLEnvironment:
         exactly as a run on this environment would) but a private,
         registry-silent command queue.
 
-        Batched and pipelined execution run each member/chunk against a
-        capture twin to obtain its solo event stream, then rewrite the
-        streams (:mod:`repro.clsim.pipeline`) into this environment's
-        log — recording modeled events exactly once, on the merged
-        timeline, so process-wide counters see the batched semantics.
+        Streaming runs each chunk on a twin and re-times the chunks'
+        streams (:func:`~repro.clsim.pipeline.overlap_events`) into this
+        environment's log; a batch runs each interpreter member on one
+        to keep its live events silent while the engine records the
+        plan's coalesced fold — so process-wide counters see each
+        modeled event exactly once, on the merged timeline.
         """
         from ..metrics import NULL_REGISTRY
 
@@ -117,16 +131,7 @@ class CLEnvironment:
         return self.queue.log.counts()
 
     def timing(self) -> TimingSummary:
-        log = self.queue.log
-        return TimingSummary(
-            host_to_device=log.sim_time([EventKind.DEV_WRITE]),
-            kernel_exec=log.sim_time([EventKind.KERNEL]),
-            device_to_host=log.sim_time([EventKind.DEV_READ]),
-            build=log.sim_time([EventKind.BUILD]),
-            wall=log.wall_time(),
-            makespan=max(((e.ts_seconds or 0.0) + e.sim_seconds
-                          for e in log.events), default=0.0),
-        )
+        return TimingSummary.of(self.queue.log)
 
     @property
     def mem_high_water(self) -> int:

@@ -17,7 +17,10 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
-__all__ = ["EventKind", "Event", "EventLog", "EventCounts"]
+from ..metrics import get_registry
+
+__all__ = ["EventKind", "Event", "EventLog", "EventCounts",
+           "event_counters"]
 
 
 class EventKind(enum.Enum):
@@ -69,8 +72,9 @@ class EventLog:
     events: list[Event] = field(default_factory=list)
     cursor: float = 0.0
     # Record hook, called as ``observer(kind, count, nbytes)``: the
-    # command queue installs a registry observer here so every event —
-    # including a dry plan's modeled walk — lands in the process-wide
+    # command queue installs its device's :func:`event_counters` here,
+    # so every event a queue's log records — a live launch's, or a
+    # folded run's recorded by the engine — lands in the process-wide
     # transfer/kernel counters (DESIGN.md §9) no matter which call site
     # produced it.
     observer: Optional[Callable[[EventKind, int, int], None]] = None
@@ -82,8 +86,9 @@ class EventLog:
                    totals: Iterable[tuple[EventKind, int, int]]) -> None:
         """Record ``events`` in order, notifying the observer once per
         kind with ``totals`` — their ``(kind, count, nbytes)`` sums — so
-        a compiled plan's warm launch, which precomputes them, advances
-        each counter once rather than once per event."""
+        a folded run (:class:`~repro.strategies.plancache.ModeledRun`),
+        which precomputes them, advances each counter once rather than
+        once per event.  Pre-stamped events keep their stamps."""
         for event in events:
             if event.ts_seconds is None:
                 event = replace(event, ts_seconds=self.cursor)
@@ -152,3 +157,54 @@ class EventLog:
                          "wall_seconds": e.wall_seconds},
             })
         return trace
+
+
+def event_counters(device: str, registry=None,
+                   ) -> Callable[[EventKind, int, int], None]:
+    """The registry mirror of one device's event layer (Table II's
+    measurement surface): returns ``observe(kind, count, nbytes)``,
+    which advances that kind's count counter and bytes counter.  The
+    children are bound once, so one observation costs two increments.
+    ``registry`` overrides the process registry (``NULL_REGISTRY``
+    keeps a capture twin silent)."""
+    if registry is None:
+        registry = get_registry()
+    transfers = registry.counter(
+        "repro_clsim_transfers_total",
+        "Host<->device transfers enqueued (Table II Dev-W / Dev-R)",
+        ("device", "direction"))
+    transfer_bytes = registry.counter(
+        "repro_clsim_transfer_bytes_total",
+        "Bytes moved across the host<->device link",
+        ("device", "direction"))
+    children = {
+        EventKind.DEV_WRITE: (
+            transfers.labels(device=device, direction="write"),
+            transfer_bytes.labels(device=device, direction="write")),
+        EventKind.DEV_READ: (
+            transfers.labels(device=device, direction="read"),
+            transfer_bytes.labels(device=device, direction="read")),
+        EventKind.KERNEL: (
+            registry.counter(
+                "repro_clsim_kernel_launches_total",
+                "Kernel executions enqueued (Table II K-Exe)",
+                ("device",)).labels(device=device),
+            registry.counter(
+                "repro_clsim_kernel_global_bytes_total",
+                "Global-memory bytes touched by enqueued kernels",
+                ("device",)).labels(device=device)),
+        EventKind.BUILD: (
+            registry.counter(
+                "repro_clsim_builds_total",
+                "Program builds (one-time compilation events)",
+                ("device",)).labels(device=device),
+            None),
+    }
+
+    def observe(kind: EventKind, count: int, nbytes: int) -> None:
+        count_child, bytes_child = children[kind]
+        count_child.inc(count)
+        if bytes_child is not None:
+            bytes_child.inc(nbytes)
+
+    return observe

@@ -1,15 +1,15 @@
 """Modeled event-stream transforms: batch coalescing and transfer overlap.
 
-Two rewrites of recorded device-event streams, both pure functions of the
-analytic performance model (no NumPy work happens here — the arrays were
-already computed when the streams were captured):
+Two rewrites of device-event streams, both pure functions of the
+analytic performance model (no NumPy work happens here):
 
 * :func:`coalesce_events` — merge B structurally-identical streams (the
   same plan launched over B requests' bindings) into the stream one
   *batched* launch would produce: each transfer pays the link latency
   once over the summed payload, each kernel pays the launch overhead
   once.  This is the modeled win the service's micro-batching dispatch
-  amortizes (ROADMAP "Request batching and async pipelining").
+  amortizes; the engine coalesces a plan's fold B times for a batch of
+  B (:meth:`~repro.host.engine.DerivedFieldEngine.execute_batch`).
 
 * :func:`overlap_events` — re-time per-chunk streams onto a device with
   separate host-to-device, compute, and device-to-host engines (the
@@ -18,10 +18,11 @@ already computed when the streams were captured):
   classic double buffering — so the stream's *makespan* drops below the
   serial sum while every per-category total is unchanged.
 
-Both return events whose ``ts_seconds`` describe the rewritten timeline;
-:meth:`~repro.clsim.events.EventLog.record` preserves pre-stamped
-timestamps, so the results can be replayed into a live environment's log
-and flow into timing summaries and Chrome-trace lanes unmodified.
+The overlapped events carry the rewritten timeline in ``ts_seconds``,
+and :meth:`~repro.clsim.events.EventLog.record` preserves pre-stamped
+timestamps, so they are recorded into a live environment's log and flow
+into timing summaries and Chrome-trace lanes unmodified; coalesced
+events are unstamped, ready for sequential recording.
 """
 
 from __future__ import annotations

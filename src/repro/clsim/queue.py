@@ -14,10 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import CLInvalidOperation
-from ..metrics import get_registry
 from .buffer import Buffer
 from .context import Context
-from .events import Event, EventKind, EventLog
+from .events import Event, EventKind, EventLog, event_counters
 from .kernel import Kernel, Program
 from .perfmodel import KernelCost, build_seconds, kernel_seconds, \
     transfer_seconds
@@ -84,54 +83,10 @@ class CommandQueue:
         self.device = context.device
         self.log = EventLog()
         self._xfer_seconds: dict[int, float] = {}
-        # Registry mirror of the event layer (Table II's measurement
-        # surface): one count counter + one bytes counter per category,
-        # bound once per queue so one observation costs two child
-        # increments.  The log observer catches every record path.
-        # ``registry`` overrides the process registry — capture/replay
-        # environments pass NULL_REGISTRY so modeling runs stay silent.
-        if registry is None:
-            registry = get_registry()
-        transfers = registry.counter(
-            "repro_clsim_transfers_total",
-            "Host<->device transfers enqueued (Table II Dev-W / Dev-R)",
-            ("device", "direction"))
-        transfer_bytes = registry.counter(
-            "repro_clsim_transfer_bytes_total",
-            "Bytes moved across the host<->device link",
-            ("device", "direction"))
-        name = self.device.name
-        self._event_children = {
-            EventKind.DEV_WRITE: (
-                transfers.labels(device=name, direction="write"),
-                transfer_bytes.labels(device=name, direction="write")),
-            EventKind.DEV_READ: (
-                transfers.labels(device=name, direction="read"),
-                transfer_bytes.labels(device=name, direction="read")),
-            EventKind.KERNEL: (
-                registry.counter(
-                    "repro_clsim_kernel_launches_total",
-                    "Kernel executions enqueued (Table II K-Exe)",
-                    ("device",)).labels(device=name),
-                registry.counter(
-                    "repro_clsim_kernel_global_bytes_total",
-                    "Global-memory bytes touched by enqueued kernels",
-                    ("device",)).labels(device=name)),
-            EventKind.BUILD: (
-                registry.counter(
-                    "repro_clsim_builds_total",
-                    "Program builds (one-time compilation events)",
-                    ("device",)).labels(device=name),
-                None),
-        }
-        self.log.observer = self._observe_event
-
-    def _observe_event(self, kind: EventKind, count: int,
-                       nbytes: int) -> None:
-        count_child, bytes_child = self._event_children[kind]
-        count_child.inc(count)
-        if bytes_child is not None:
-            bytes_child.inc(nbytes)
+        # Every record path of the log lands in the registry's
+        # transfer/kernel counters; ``registry`` overrides the process
+        # registry — a capture twin passes NULL_REGISTRY to stay silent.
+        self.log.observer = event_counters(self.device.name, registry)
 
     def xfer_seconds(self, nbytes: int) -> float:
         """Modeled host<->device transfer time, memoized per size — warm

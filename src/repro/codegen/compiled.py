@@ -3,16 +3,17 @@
 A :class:`CompiledPlan` wraps an interpreter-built base plan with the
 ``exec``-compiled sweep function from :mod:`repro.codegen.generator`.  A
 warm launch is then one Python call — no executor-tree walk, no simulated
-buffer traffic — while the modeled observables stay exact: at compile
-time the base plan's modeled walk
-(:meth:`~repro.strategies.plancache.ExecutablePlan.model`) runs once
-against an unmetered allocator and a bare event log to capture its full
-event trace (kind, name, bytes, modeled seconds) and its allocator
-high-water mark, and every compiled launch replays that trace into the
-live environment's log, advancing each registry counter once by the
-trace's per-kind totals.  Event counts, modeled timings, transfer
-bytes, and the Fig 6 peak therefore match the interpreter bit-for-bit;
-only the host wall time changes (that is the point).
+buffer traffic — while the modeled observables stay exact: the plan
+holds its base plan's :class:`~repro.strategies.plancache.ModeledRun`,
+the schedule's modeled walk folded once for the device (pre-stamped
+events, per-kind totals, counts, timing, peak).  A run reports the
+fold's counts and timing with the sweep's host wall time, notes the
+fold's peak on the allocator and reports the allocator's peak, and the
+engine records the fold's events in the live log with one
+:meth:`~repro.clsim.events.EventLog.record_all`, advancing each
+registry counter once.  Event counts, modeled timings, transfer bytes,
+and the Fig 6 peak therefore match the interpreter bit-for-bit; only
+the host wall time changes (that is the point).
 
 A compiled plan shares its base plan's ``generated_sources``: the
 OpenCL C the sweep replaces is built (and validated) only when something
@@ -21,35 +22,30 @@ reads it — a report's JSON, ``--show-kernels``, or ``entry()``.
 ``entry()``/``from_entry()`` round-trip a plan through JSON for the
 on-disk cache: the sweep *source* is persisted (compiled closures cannot
 be pickled portably) and re-``exec``'d on load against the loading
-process's primitive registry.
+process's primitive registry; the fold is rebuilt from the persisted
+event trace and peak.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from ..clsim.buffer import Allocator
 from ..clsim.environment import CLEnvironment
-from ..clsim.events import Event, EventKind, EventLog
+from ..clsim.events import Event, EventKind
 from ..dataflow.network import Network
 from ..errors import CodegenError
-from ..metrics import NULL_REGISTRY
 from ..primitives.base import PrimitiveRegistry, ResultKind
 from ..strategies import plancache as _plancache
 from ..strategies.bindings import Binding
 from ..strategies.fusion import (_as_field_factory, _as_uniform_factory,
                                  _as_vec)
-from ..strategies.plancache import ExecutablePlan
+from ..strategies.plancache import ExecutablePlan, ModeledRun
 from .generator import SweepSource, generate_sweep
 from .runtime import aos4, grad3d_rows, grad3d_stack, uniform_float
 
 __all__ = ["CompiledPlan", "compile_plan", "codegen_token"]
-
-# (kind, name, nbytes, sim_seconds) per captured event.
-EventTrace = tuple[tuple[EventKind, str, int, float], ...]
 
 
 def codegen_token(registry: PrimitiveRegistry) -> str:
@@ -86,49 +82,27 @@ def _compile_fn(source: str, namespace: dict[str, object]):
 
 
 class CompiledPlan(ExecutablePlan):
-    """One compiled sweep plus the captured interpreter event trace."""
+    """One compiled sweep plus its base plan's fold."""
 
     def __init__(self, *, fn, sweep_source: str,
                  params: tuple[str, ...],
                  primitive_names: tuple[str, ...],
-                 events: EventTrace, captured_peak: int, **common):
+                 fold: ModeledRun, **common):
         super().__init__(**common)
         self._fn = fn
         self.sweep_source = sweep_source
         self.params = params
         self.primitive_names = primitive_names
-        self.events = events
-        self.captured_peak = int(captured_peak)
-        kernel_indices = [i for i, e in enumerate(events)
-                         if e[0] is EventKind.KERNEL]
-        self._last_kernel = kernel_indices[-1] if kernel_indices else None
-        # Per-kind (count, bytes) sums of the trace: a warm launch
-        # advances each registry counter once by these.
-        totals: dict[EventKind, list[int]] = {}
-        for kind, _, nbytes, _ in events:
-            entry = totals.setdefault(kind, [0, 0])
-            entry[0] += 1
-            entry[1] += nbytes
-        self._totals = tuple((kind, count, nbytes)
-                             for kind, (count, nbytes) in totals.items())
+        self.fold = fold
 
     def launch(self, bindings: Mapping[str, Binding],
-               env: CLEnvironment) -> Optional[np.ndarray]:
+               env: CLEnvironment) -> np.ndarray:
+        """Run the sweep and return the output; records nothing (the
+        fold stands for the schedule)."""
         args = [bindings[s].data for s in self.source_order]
         with env.tracer.span("compiled.sweep", category="strategy",
                              kernel="_sweep"):
-            start = time.perf_counter()
             output = self._fn(*args)
-            wall = time.perf_counter() - start
-        # Replay the captured interpreter trace so counts, modeled
-        # timings, and transfer-byte counters match the interpreter run
-        # exactly; the real sweep wall time rides on the last kernel.
-        env.queue.log.record_all(
-            (Event(kind, name, nbytes, sim_seconds=sim,
-                   wall_seconds=wall if i == self._last_kernel else 0.0)
-             for i, (kind, name, nbytes, sim) in enumerate(self.events)),
-            self._totals)
-        env.context.allocator.note_external_peak(self.captured_peak)
         return self._broadcast(output)
 
     # -- disk-cache round trip -------------------------------------------------
@@ -147,9 +121,9 @@ class CompiledPlan(ExecutablePlan):
             "sweep_source": self.sweep_source,
             "params": list(self.params),
             "primitives": list(self.primitive_names),
-            "events": [[kind.name, name, nbytes, sim]
-                       for kind, name, nbytes, sim in self.events],
-            "mem_high_water": self.captured_peak,
+            "events": [[e.kind.name, e.name, e.nbytes, e.sim_seconds]
+                       for e in self.fold.events],
+            "mem_high_water": self.fold.peak,
         }
 
     @classmethod
@@ -166,15 +140,15 @@ class CompiledPlan(ExecutablePlan):
         fn = _compile_fn(sweep_source,
                          _build_namespace(primitive_names, registry,
                                           n, dtype))
-        events = tuple(
-            (EventKind[kind], str(name), int(nbytes), float(sim))
-            for kind, name, nbytes, sim in entry["events"])
+        fold = ModeledRun.of(
+            (Event(EventKind[kind], str(name), int(nbytes), float(sim))
+             for kind, name, nbytes, sim in entry["events"]),
+            int(entry["mem_high_water"]))
         return cls(
             fn=fn, sweep_source=sweep_source,
             params=tuple(entry["params"]),
             primitive_names=primitive_names,
-            events=events,
-            captured_peak=int(entry["mem_high_water"]),
+            fold=fold,
             strategy_name=str(entry["strategy_name"]),
             source_order=tuple(entry["source_order"]),
             n=n, dtype=dtype,
@@ -186,23 +160,21 @@ class CompiledPlan(ExecutablePlan):
 
 def compile_plan(base_plan: ExecutablePlan, network: Network,
                  device) -> CompiledPlan:
-    """Generate, compile, and instrument the sweep for one base plan.
-    The base plan's modeled walk, on an unmetered allocator, supplies the
-    event trace and peak (and raises if the plan does not fit)."""
+    """Generate and compile the sweep for one base plan, which lends it
+    its fold on ``device`` (raising the fold's out-of-memory error if the
+    plan does not fit)."""
     sweep: SweepSource = generate_sweep(network)
     namespace = _build_namespace(sweep.primitive_names, network.registry,
                                  base_plan.n, base_plan.dtype)
     fn = _compile_fn(sweep.source, namespace)
-    allocator = Allocator(device, registry=NULL_REGISTRY)
-    log = EventLog()
-    base_plan.model(allocator, log)
+    fold = base_plan.modeled(device)
+    if fold.error is not None:
+        raise fold.error
     return CompiledPlan(
         fn=fn, sweep_source=sweep.source,
         params=sweep.params,
         primitive_names=sweep.primitive_names,
-        events=tuple((e.kind, e.name, e.nbytes, e.sim_seconds)
-                     for e in log.events),
-        captured_peak=allocator.peak_bytes,
+        fold=fold,
         strategy_name=base_plan.strategy_name,
         source_order=base_plan.source_order,
         n=base_plan.n, dtype=base_plan.dtype,

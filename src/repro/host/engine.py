@@ -47,7 +47,7 @@ from ..primitives.base import PrimitiveRegistry, ResultKind
 from ..strategies import (CodegenInfo, ExecutionReport, ExecutionStrategy,
                           get_strategy)
 from ..strategies.bindings import Binding, BindingInput, require_data
-from ..strategies.plancache import PlanCache, PlanKey, plan_key
+from ..strategies.plancache import ModeledRun, PlanCache, PlanKey, plan_key
 from ..trace import NULL_TRACER, Tracer
 
 __all__ = ["BatchExecution", "CompiledExpression", "DerivedFieldEngine",
@@ -185,7 +185,7 @@ class DerivedFieldEngine:
             backend = "vectorized"
         self.backend = backend
         # The clsim Context only knows vectorized/interpreted; compiled
-        # plans replay their captured events on a vectorized environment.
+        # plans record their folds on a vectorized environment.
         self.env_backend = ("vectorized" if backend == "compiled"
                             else backend)
         if isinstance(plan_cache_dir, PlanDiskCache):
@@ -361,15 +361,17 @@ class DerivedFieldEngine:
         service's only path, where a solo request is a batch of one and
         runs on the warm environment exactly as :meth:`execute_prepared`.
 
-        For B >= 2 each member executes against a capture twin of the
-        warm environment (same context, allocator, and buffer pool;
-        private silent event log), so its report is *identical* to its
-        solo warm run.  The captured streams are then coalesced
-        (:func:`~repro.clsim.pipeline.coalesce_events`) into the batched
-        timeline the warm log records once: transfers move the stacked
-        payload behind one link latency and each kernel pays its launch
-        overhead once.  That timeline is the batch's ``modeled_seconds``.
-        An unkeyed batch of one takes the uncached path.
+        For B >= 2 every member's report is *identical* to its solo warm
+        run.  A compiled member reports its fold and runs on the warm
+        environment; an interpreter member records live, so it runs on a
+        capture twin (same context, allocator, and buffer pool; private
+        silent event log).  The plan's fold coalesced B times
+        (:func:`~repro.clsim.pipeline.coalesce_events`) is the batched
+        timeline the warm log records once: transfers
+        move the stacked payload behind one link latency and each kernel
+        pays its launch overhead once.  That timeline is the batch's
+        ``modeled_seconds``.  An unkeyed batch of one takes the uncached
+        path.
         """
         if not batch:
             raise ValueError("execute_batch needs at least one request")
@@ -448,17 +450,19 @@ class DerivedFieldEngine:
                                  else self.env_backend),
                         disposition=disposition, compiled=ran_compiled)
                 tracer.note_plan(head.key, plan, disposition=disposition)
+                fold = plan.fold
                 reports: list[ExecutionReport] = []
-                captures = []
                 anchor = tracer.now()
                 with tracer.span("plan.launch", category="engine",
                                  **(attrs if batched else {})):
                     for member in batch:
                         run_env = env
                         if batched:
-                            run_env = env.capture()
-                            captures.append(run_env.queue.log)
                             env.context.allocator.reset_peak()
+                            if fold is None:
+                                # A live launch records as it runs: keep
+                                # a member's events off the warm log.
+                                run_env = env.capture()
                         report = plan.run(
                             plan.rebind(member.bindings, member.sources),
                             run_env)
@@ -468,22 +472,27 @@ class DerivedFieldEngine:
                         report.trace_id = exec_span.trace_id
                         reports.append(report)
                 exec_span.annotate(cache_hit=hit)
+                timeline = fold
                 if batched:
                     # Record the batched timeline once, into the warm
                     # environment's observed log: process-wide transfer
                     # and kernel counters see what the device would
                     # actually do — one coalesced launch — not B solo
-                    # replays.
-                    for event in coalesce_events(captures,
-                                                 self.device_spec):
-                        env.queue.log.record(event)
+                    # runs.
+                    solo = fold or plan.modeled(self.device_spec)
+                    timeline = ModeledRun.of(coalesce_events(
+                        [solo.events] * len(batch), self.device_spec),
+                        solo.peak)
                     env.context.allocator.reset_peak()
                     env.context.allocator.note_external_peak(
                         max(r.mem_high_water for r in reports))
-                    modeled = env.timing().total
-                    exec_span.annotate(modeled_seconds=modeled)
-                else:
-                    modeled = reports[0].timing.total
+                    exec_span.annotate(
+                        modeled_seconds=timeline.timing.total)
+                if timeline is not None:
+                    timeline.record(env.queue.log,
+                                    sum(r.timing.wall for r in reports))
+                modeled = (reports[0] if timeline is None
+                           else timeline).timing.total
                 log = get_logger()
                 if log.debug_enabled:
                     log.debug("engine.execute", tracer=tracer,

@@ -28,7 +28,6 @@ from ..errors import MPIError
 from ..host.engine import DerivedFieldEngine
 from ..host.visitsim.dataset import RectilinearDataset
 from ..host.visitsim.ghost import BlockExtent, decompose, extract_block
-from ..host.visitsim.pyexpr import PythonExpressionFilter
 from ..strategies import get_strategy
 from ..strategies.bindings import ArraySpec
 from ..strategies.plancache import PlanCache
@@ -78,6 +77,12 @@ class DistributedResult:
 _RANK_PLANS = PlanCache()
 
 
+# Compiles each expression once per process for every rank and call
+# (default registry and CSE, as a rank engine would): a time step after
+# the first parses and validates nothing.
+_COMPILER = DerivedFieldEngine(plan_cache=False)
+
+
 def _rank_body(comm: Comm, read_block: Callable,
                assignments: list[RankAssignment], expression: str,
                strategy: str, device: str, ghost_width: Optional[int]):
@@ -89,10 +94,11 @@ def _rank_body(comm: Comm, read_block: Callable,
     mine = assignments[comm.rank]
     engine = DerivedFieldEngine(device=device, strategy=strategy,
                                 plan_cache=_RANK_PLANS)
-    expr_filter = PythonExpressionFilter(expression, engine=engine)
-    # None = honour the expression's contract (the normal in-situ path);
-    # an explicit width overrides it (0 disables ghosts, for ablation).
-    width = (expr_filter.contract().ghost_width if ghost_width is None
+    compiled = _COMPILER.compile(expression)
+    # None = the expression's stencil depth (the ghost width its VisIt
+    # contract requests, the normal in-situ path); an explicit width
+    # overrides it (0 disables ghosts, for ablation).
+    width = (compiled.network.stencil_depth() if ghost_width is None
              else ghost_width)
 
     pieces: list[tuple[BlockExtent, np.ndarray]] = []
@@ -104,13 +110,13 @@ def _rank_body(comm: Comm, read_block: Callable,
     for assigned in mine.blocks:
         extent, block = read_block(assigned, width)
         bindings = dict(block.mesh_arrays())
-        for name in expr_filter.compiled.required_inputs:
+        for name in compiled.required_inputs:
             if name not in bindings:
                 bindings[name] = block.field(name)
-        report = engine.execute(expr_filter.compiled, bindings)
+        report = engine.execute(compiled, bindings)
         derived = block.with_fields(
-            {expr_filter.output_name: report.output}).strip_ghost()
-        values = derived.field(expr_filter.output_name)
+            {compiled.result_name: report.output}).strip_ghost()
+        values = derived.field(compiled.result_name)
         pieces.append((extent, values))
         counts["k"] += report.counts.kernel_execs
         counts["w"] += report.counts.dev_writes
@@ -221,8 +227,7 @@ def plan_distributed(expression: str, *,
     blocks = decompose(global_dims, block_dims)
     assignments = assign_blocks(blocks, n_ranks,
                                 devices_per_node=devices_per_node)
-    engine = DerivedFieldEngine(device=device, strategy=strategy)
-    compiled = engine.compile(expression)
+    compiled = _COMPILER.compile(expression)
     if ghost_width is None:
         ghost_width = compiled.network.stencil_depth()
     dtype = np.dtype(dtype)

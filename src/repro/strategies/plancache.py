@@ -18,12 +18,14 @@ executors — fusion builds these two on first read, see
 :class:`~repro.clsim.kernel.KernelSources` — precomputed byte sizes and
 :class:`~repro.clsim.perfmodel.KernelCost` models.  One launcher,
 :meth:`ExecutablePlan.launch`, runs any strategy's schedule; a warm
-``run()`` only binds input arrays and replays it — producing the
+``run()`` only binds input arrays and runs it again — producing the
 *identical* event sequence, allocation order, and bitwise-identical
 output of a cold run.  :meth:`ExecutablePlan.model` walks the same
-schedule for its modeled effects alone: that is a dry run, and
-:func:`~repro.strategies.planner.plan` is the one place that runs it on
-shapes.
+schedule for its modeled effects alone (a dry run), and
+:meth:`ExecutablePlan.modeled` folds that walk once per device into a
+:class:`ModeledRun` — events, counts, timing, peak, and the
+out-of-memory point — which :func:`~repro.strategies.planner.plan`, the
+compiled backend and batch coalescing read instead of walking again.
 
 Strategies that support planning implement ``build_plan()`` and inherit
 :meth:`~repro.strategies.base.ExecutionStrategy.execute`, which routes
@@ -39,27 +41,30 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
 from ..clsim.buffer import Allocator, Buffer
-from ..clsim.environment import CLEnvironment
-from ..clsim.events import Event, EventKind, EventLog
+from ..clsim.environment import CLEnvironment, TimingSummary
+from ..clsim.events import Event, EventCounts, EventKind, EventLog
 from ..clsim.kernel import Kernel, KernelSources
 from ..clsim.perfmodel import KernelCost, kernel_seconds, transfer_seconds
 from ..dataflow.network import Network
-from ..metrics import get_registry
+from ..errors import CLOutOfMemoryError
+from ..metrics import NULL_REGISTRY, get_registry
 from ..dataflow.spec import CONST, SOURCE
 from ..primitives.base import ResultKind, VECTOR_WIDTH
 from .base import ExecutionReport
 from .bindings import Binding
 
 __all__ = ["CODEGEN_VERSION", "ExecutablePlan", "PlanKey", "PlanCache",
-           "CacheInfo", "network_signature", "plan_key", "AllocOp",
-           "HostOp", "KernelOp", "Op", "ReadOp", "ReleaseOp", "UploadOp"]
+           "CacheInfo", "ModeledRun", "network_signature", "plan_key",
+           "AllocOp", "HostOp", "KernelOp", "Op", "ReadOp", "ReleaseOp",
+           "UploadOp"]
 
 DEFAULT_PLAN_CACHE_SIZE = 32
 
@@ -329,6 +334,51 @@ Op = Union[UploadOp, AllocOp, KernelOp, ReadOp, ReleaseOp, HostOp]
 _TRANSFER_KIND = {UploadOp: EventKind.DEV_WRITE, ReadOp: EventKind.DEV_READ}
 
 
+@dataclass(frozen=True)
+class ModeledRun:
+    """A schedule's modeled effects on one device, folded once: the
+    events a run records and the counts, timing (wall 0) and peak it
+    reports.  ``events`` are stamped on the in-order queue from 0, and
+    ``totals`` are their per-kind ``(kind, count, nbytes)`` sums.  On a
+    device too small for the schedule, ``error`` is the out-of-memory
+    failure and the rest is what came before it."""
+
+    events: tuple[Event, ...]
+    totals: tuple[tuple[EventKind, int, int], ...]
+    counts: EventCounts
+    timing: TimingSummary
+    peak: int
+    error: Optional[CLOutOfMemoryError] = None
+    last_kernel: Optional[int] = None   # index of the last kernel event
+
+    @classmethod
+    def of(cls, events: Iterable[Event], peak: int,
+           error: Optional[CLOutOfMemoryError] = None) -> "ModeledRun":
+        """Fold ``events`` as a fresh log holding them reads."""
+        log = EventLog()
+        log.record_all(events, ())
+        kinds = dict.fromkeys(e.kind for e in log.events)
+        kernels = [i for i, e in enumerate(log.events)
+                   if e.kind is EventKind.KERNEL]
+        return cls(tuple(log.events),
+                   tuple((k, log.count(k), log.bytes_moved(k))
+                         for k in kinds),
+                   log.counts(), TimingSummary.of(log), peak, error,
+                   kernels[-1] if kernels else None)
+
+    def record(self, log: EventLog, wall: float = 0.0) -> None:
+        """Record the (pre-stamped) events in an empty ``log`` with one
+        :meth:`EventLog.record_all`; ``wall`` rides on the last kernel
+        event, the one new :class:`Event`."""
+        events, at = self.events, self.last_kernel
+        if wall and at is not None:
+            e = events[at]
+            events = (*events[:at], Event(e.kind, e.name, e.nbytes,
+                                          e.sim_seconds, wall, e.ts_seconds),
+                      *events[at + 1:])
+        log.record_all(events, self.totals)
+
+
 class ExecutablePlan:
     """A fully-compiled, value-independent execution recipe.
 
@@ -337,7 +387,13 @@ class ExecutablePlan:
     :class:`~repro.clsim.buffer.Buffer` or array data — only sizes,
     kernels, and costs — so one plan instance can run any number of times,
     on any environment of the same device/backend.
+
+    A plan whose launch records nothing in the environment (a compiled
+    sweep) sets ``fold``: :meth:`run` reports it, and the caller records
+    it — once for a solo run, coalesced for a batch.
     """
+
+    fold: Optional[ModeledRun] = None
 
     def __init__(self, strategy_name: str, source_order: tuple[str, ...],
                  n: int, dtype: np.dtype, output_id: str,
@@ -353,6 +409,7 @@ class ExecutablePlan:
         self.output_uniform = output_uniform
         self.generated_sources = generated_sources
         self.ops = ops
+        self._modeled: dict = {}      # device -> fold
 
     def launch(self, bindings: Mapping[str, Binding],
                env: CLEnvironment) -> np.ndarray:
@@ -402,7 +459,7 @@ class ExecutablePlan:
         launch records, in ``log``.  A reservation that does not fit
         raises :class:`~repro.errors.CLOutOfMemoryError` after the events
         before it; whatever is still reserved is released.  This walk is
-        a dry run: :func:`repro.strategies.plan` runs it on shapes."""
+        a dry run; :meth:`modeled` folds it once per device."""
         device = allocator.device
         reserved: dict[int, tuple[int, str]] = {}   # slot -> (size, label)
         try:
@@ -428,15 +485,49 @@ class ExecutablePlan:
             for nbytes, _ in reserved.values():
                 allocator.release(nbytes)
 
+    def modeled(self, device) -> ModeledRun:
+        """The schedule's :class:`ModeledRun` on ``device``: the
+        :meth:`model` walk on an unmetered allocator, folded on first
+        request and memoized (the plan is immutable; two threads racing
+        here may both walk, and every caller gets the first fold kept)."""
+        run = self._modeled.get(device)
+        if run is None:
+            allocator = Allocator(device, registry=NULL_REGISTRY)
+            log = EventLog()
+            error = None
+            try:
+                self.model(allocator, log)
+            except CLOutOfMemoryError as exc:
+                error = exc
+            run = self._modeled.setdefault(
+                device, ModeledRun.of(log.events, allocator.peak_bytes,
+                                      error))
+        return run
+
     def run(self, bindings: Mapping[str, Binding],
             env: CLEnvironment) -> ExecutionReport:
-        """Execute and assemble the instrumented report."""
+        """Execute and assemble the instrumented report: from what
+        ``env`` recorded, or — for a plan with a ``fold`` — from the
+        fold and the launch's host wall time, with the fold's peak noted
+        on ``env``'s allocator as a live launch would leave its own."""
+        start = time.perf_counter()
         output = self.launch(bindings, env)
+        wall = time.perf_counter() - start
+        fold = self.fold
+        if fold is None:
+            counts, timing = env.event_counts(), env.timing()
+        else:
+            t = fold.timing
+            counts = fold.counts
+            timing = TimingSummary(t.host_to_device, t.kernel_exec,
+                                   t.device_to_host, t.build, wall,
+                                   t.makespan)
+            env.context.allocator.note_external_peak(fold.peak)
         return ExecutionReport(
             strategy=self.strategy_name,
             output=output,
-            counts=env.event_counts(),
-            timing=env.timing(),
+            counts=counts,
+            timing=timing,
             mem_high_water=env.mem_high_water,
             generated_sources=self.generated_sources,
         )

@@ -1,14 +1,14 @@
 """Dry-run planning: full-paper-scale experiments without the data.
 
-A plan is the strategy's op schedule walked for its modeled effects
-only (:meth:`~repro.strategies.plancache.ExecutablePlan.model`):
-:func:`plan` builds the schedule from shape-only bindings and runs the
-walk on a fresh environment's allocator and event log.  Buffer sizes
-are reserved on the allocator (so out-of-memory failures happen exactly
-where they would on the real device) and every transfer and kernel event
-is logged with its modeled duration, but no buffer or data exists.  This
-is how the 12 Table I sub-grids — up to 2.6 GB per field — are swept for
-Fig 5 and Fig 6 on a machine that could not hold them.
+A plan is the strategy's op schedule folded for its modeled effects
+only (:meth:`~repro.strategies.plancache.ExecutablePlan.modeled`):
+:func:`plan` builds the schedule from shape-only bindings and reads its
+fold on the device.  Buffer sizes are reserved on an allocator (so
+out-of-memory failures happen exactly where they would on the real
+device) and every transfer and kernel event is logged with its modeled
+duration, but no buffer or data exists.  This is how the 12 Table I
+sub-grids — up to 2.6 GB per field — are swept for Fig 5 and Fig 6 on a
+machine that could not hold them.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from ..clsim.device import DeviceSpec, DeviceType
-from ..clsim.environment import CLEnvironment, TimingSummary
-from ..clsim.events import EventCounts
+from ..clsim.environment import TimingSummary
+from ..clsim.events import EventCounts, event_counters
+from ..clsim.platform import find_device
 from ..dataflow.network import Network
-from ..errors import CLOutOfMemoryError, StrategyError
+from ..errors import StrategyError
 from .base import ExecutionStrategy
 from .bindings import ArraySpec
 from .reference import ReferenceKernel
@@ -62,7 +63,8 @@ def plan(strategy: Union[ExecutionStrategy, ReferenceKernel],
     ``network`` is required for :class:`ExecutionStrategy` instances and
     ignored for :class:`ReferenceKernel` (which binds its own inputs).
     Strategies without an op schedule (streaming, multi-device) cannot
-    be planned.
+    be planned.  The fold's events advance the process-wide
+    ``repro_clsim_*`` transfer and kernel counters, as a live run's do.
     """
     if isinstance(strategy, ReferenceKernel):
         bindings, n, dtype = strategy.prepare(shapes)
@@ -77,18 +79,18 @@ def plan(strategy: Union[ExecutionStrategy, ReferenceKernel],
                 "inner strategy instead")
         bindings, n, dtype = strategy.prepare(network, shapes)
         schedule = strategy.build_plan(network, bindings, n, dtype)
-    env = CLEnvironment(device)
-    error = None
-    try:
-        schedule.model(env.context.allocator, env.queue.log)
-    except CLOutOfMemoryError as exc:
-        error = str(exc)
+    spec = device if isinstance(device, DeviceSpec) else find_device(device)
+    fold = schedule.modeled(spec)
+    observe = event_counters(spec.name)
+    for kind, count, nbytes in fold.totals:
+        observe(kind, count, nbytes)
+    failed = fold.error is not None
     return PlanResult(
         strategy=strategy.name,
-        device=env.device.name,
-        failed=error is not None,
-        mem_high_water=env.mem_high_water,
-        counts=env.event_counts(),
-        timing=None if error is not None else env.timing(),
-        error=error,
+        device=spec.name,
+        failed=failed,
+        mem_high_water=fold.peak,
+        counts=fold.counts,
+        timing=None if failed else fold.timing,
+        error=str(fold.error) if failed else None,
     )

@@ -115,6 +115,29 @@ class TestSharedRankPlans:
         assert second.field.tobytes() == first.field.tobytes()
         assert second.rank_stats == first.rank_stats
 
+    def test_second_identical_call_parses_nothing(self, global_ds,
+                                                  monkeypatch):
+        """Nor does it compile the expression again: no rank of a later
+        time step parses, lowers or validates it."""
+        import repro.host.engine as engine_mod
+        parses = []
+        parse = engine_mod.parse
+
+        def counting(text):
+            parses.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(engine_mod, "parse", counting)
+        first = run_distributed(
+            vortex.VORTICITY_MAGNITUDE, global_ds, block_dims=(3, 7, 4),
+            n_ranks=2, strategy="staged", device="gpu")
+        del parses[:]
+        second = run_distributed(
+            vortex.VORTICITY_MAGNITUDE, global_ds, block_dims=(3, 7, 4),
+            n_ranks=2, strategy="staged", device="gpu")
+        assert parses == []
+        assert second.field.tobytes() == first.field.tobytes()
+
 
 class TestDistributedPlan:
     def test_full_paper_scale(self):
