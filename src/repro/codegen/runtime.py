@@ -4,19 +4,18 @@ The sweep generator (:mod:`repro.codegen.generator`) lowers a dataflow
 network into the source of one Python function.  That source calls the
 small vocabulary defined here:
 
-``grad3d_rows``
-    The gradient of one field, returned as three flat row arrays
-    (d/dx, d/dy, d/dz) instead of the interpreter's AoS ``(n, 4)``
-    layout.  Row form lets the generated code alias decompositions
-    (``du[0]``) to locals with zero copies or slicing.
-
 ``grad3d_stack``
-    The fused multi-field gradient: the paper's expressions take the
-    gradient of u, v, and w over the *same* mesh, so the three fields are
-    stacked into one ``(F, ni, nj, nk)`` array and each axis derivative
-    runs once over the stack instead of once per field.  This is the
-    single biggest win of the compiled backend — three trips through the
-    difference stencils become one.
+    The gradients of fields sharing one mesh (the paper's expressions
+    differentiate u, v and w on the *same* mesh) as flat rows (d/dx,
+    d/dy, d/dz per field) instead of the interpreter's AoS ``(n, 4)``
+    layout, so the generated code aliases decompositions (``du[0]``) to
+    locals with zero copies.  The mesh is checked and its spacings
+    computed once per call; each axis is one :func:`~repro.primitives.
+    gradient.axis_derivative` block holding every field's row (a field
+    of another dtype gets a block of its own).
+
+``grad3d_rows``
+    ``grad3d_stack`` of one field.
 
 ``aos4``
     Materializes rows back into the interpreter's padded
@@ -24,21 +23,17 @@ small vocabulary defined here:
     vector (the network output, or a non-decompose consumer).
 
 Every helper is bitwise-faithful to :func:`~repro.primitives.gradient.
-grad3d_numpy`: identical difference expressions, identical dtype flow
-(float64 cell centers broadcasting against the field's dtype), identical
-zero padding.  The stack path additionally relies on the fact that
-``_axis_derivative`` is purely elementwise over broadcast operands, so
-computing it on a stacked 4-D array yields, per field slice, exactly the
-array the 3-D call yields.
+grad3d_numpy`: the same axis-derivative kernel, the same dtype flow
+(float64 spacings dividing the field's dtype), the same zero padding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import PrimitiveError
 from ..primitives.base import VECTOR_WIDTH
-from ..primitives.gradient import _axis_derivative, cell_centers
+from ..primitives.gradient import (axis_denominator, axis_derivative,
+                                   cell_centers, mesh_cells)
 
 __all__ = ["grad3d_rows", "grad3d_stack", "aos4", "uniform_float"]
 
@@ -60,68 +55,30 @@ def uniform_float(arrays) -> bool:
     return len(dtypes) == 1 and dtypes.pop().kind == "f"
 
 
-def _mesh_dims(dims) -> tuple[int, int, int]:
-    ni, nj, nk = (int(d) for d in np.asarray(dims).ravel()[:3])
-    return ni, nj, nk
-
-
-def _check_coords(ni: int, nj: int, nk: int, x, y, z) -> None:
-    for name, coord, want in (("x", x, ni + 1), ("y", y, nj + 1),
-                              ("z", z, nk + 1)):
-        if np.asarray(coord).size != want:
-            raise PrimitiveError(
-                f"{name} has {np.asarray(coord).size} points; "
-                f"expected {want}")
-
-
-def _check_field(field: np.ndarray, ni: int, nj: int, nk: int,
-                 ) -> np.ndarray:
-    field = np.asarray(field)
-    n_cells = ni * nj * nk
-    if field.size != n_cells:
-        raise PrimitiveError(
-            f"field has {field.size} values but dims {ni}x{nj}x{nk} "
-            f"imply {n_cells} cells")
-    return field.reshape(ni, nj, nk)
-
-
-def grad3d_rows(field, dims, x, y, z,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of one flat cell-centered field as three flat rows."""
-    ni, nj, nk = _mesh_dims(dims)
-    f = _check_field(field, ni, nj, nk)
-    _check_coords(ni, nj, nk, x, y, z)
-    return (_axis_derivative(f, cell_centers(x), 0).ravel(),
-            _axis_derivative(f, cell_centers(y), 1).ravel(),
-            _axis_derivative(f, cell_centers(z), 2).ravel())
-
-
 def grad3d_stack(fields, dims, x, y, z) -> tuple[np.ndarray, ...]:
     """Gradients of several fields over one shared mesh.
 
     Returns a flat tuple grouped per field:
     ``(f0_dx, f0_dy, f0_dz, f1_dx, f1_dy, f1_dz, ...)``.
     """
-    ni, nj, nk = _mesh_dims(dims)
-    arrays = [_check_field(f, ni, nj, nk) for f in fields]
-    _check_coords(ni, nj, nk, x, y, z)
-    cx, cy, cz = cell_centers(x), cell_centers(y), cell_centers(z)
-    if len({a.dtype for a in arrays}) > 1:
-        # np.stack would upcast mixed dtypes; keep per-field precision.
-        rows: list[np.ndarray] = []
-        for f in arrays:
-            rows.extend((_axis_derivative(f, cx, 0).ravel(),
-                         _axis_derivative(f, cy, 1).ravel(),
-                         _axis_derivative(f, cz, 2).ravel()))
-        return tuple(rows)
-    stacked = np.stack(arrays)
-    dx = _axis_derivative(stacked, cx, 1)
-    dy = _axis_derivative(stacked, cy, 2)
-    dz = _axis_derivative(stacked, cz, 3)
+    shape, arrays = mesh_cells(fields, dims, x, y, z)
+    denominators = [axis_denominator(cell_centers(c), shape, axis)
+                    for axis, c in enumerate((x, y, z))]
+    # One block per axis for all fields; mixed dtypes get one each.
+    mixed = len({a.dtype for a in arrays}) > 1
     rows = []
-    for i in range(len(arrays)):
-        rows.extend((dx[i].ravel(), dy[i].ravel(), dz[i].ravel()))
+    for group in ([a] for a in arrays) if mixed else [arrays]:
+        blocks = [axis_derivative(group, d, axis)
+                  for axis, d in enumerate(denominators)]
+        rows.extend(b[i].ravel() for i in range(len(group))
+                    for b in blocks)
     return tuple(rows)
+
+
+def grad3d_rows(field, dims, x, y, z,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient of one flat cell-centered field as three flat rows."""
+    return grad3d_stack((field,), dims, x, y, z)
 
 
 def aos4(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ study.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import PrimitiveError
@@ -37,47 +39,74 @@ def cell_centers(points: np.ndarray) -> np.ndarray:
     return 0.5 * (points[:-1] + points[1:])
 
 
-def _axis_derivative(f: np.ndarray, centers: np.ndarray,
+def mesh_cells(fields, dims, x, y, z):
+    """The cell counts ``dims`` names and each flat field as its
+    ``(ni, nj, nk)`` block, with field and coordinate sizes checked."""
+    ni, nj, nk = shape = tuple(int(d) for d in np.asarray(dims).ravel()[:3])
+    arrays = [np.asarray(f) for f in fields]
+    for field in arrays:
+        if field.size != ni * nj * nk:
+            raise PrimitiveError(
+                f"field has {field.size} values but dims {ni}x{nj}x{nk} "
+                f"imply {ni * nj * nk} cells")
+    for name, coord, want in (("x", x, ni + 1), ("y", y, nj + 1),
+                              ("z", z, nk + 1)):
+        if np.asarray(coord).size != want:
+            raise PrimitiveError(
+                f"{name} has {np.asarray(coord).size} points; expected {want}")
+    return shape, [field.reshape(shape) for field in arrays]
+
+
+def axis_denominator(centers: np.ndarray, shape: tuple[int, ...],
                      axis: int) -> np.ndarray:
-    """Central differences in the interior, one-sided at the boundary,
-    with respect to non-uniform cell-center coordinates.
+    """Spacings ``c[i+1] - c[i-1]`` along ``axis`` (one-sided at the
+    ends), ``(n, 1)`` to broadcast over the cells after it, or repeated
+    out contiguously for a middle axis so the divide is not stride-0."""
+    n = centers.size
+    d = np.empty((n, 1))
+    if n > 1:
+        np.subtract(centers[2:], centers[:-2], out=d[1:-1, 0])
+        d[0], d[-1] = centers[1] - centers[0], centers[-1] - centers[-2]
+    after = math.prod(shape[axis + 1:])
+    if after > 1 and math.prod(shape[:axis]) > 1:
+        return np.repeat(d, after, axis=1)
+    return d
 
-    Each difference is computed straight into a view of the output
-    (subtract, then divide in place) instead of through full-size
-    temporaries — the same operations in the same order, so results stay
-    bitwise identical, but with two array passes per region instead of
-    three and no intermediate allocations.
+
+def axis_derivative(fields, denominator: np.ndarray,
+                    axis: int) -> np.ndarray:
+    """Central differences inside, one-sided at the boundary, of fields
+    sharing one shape and dtype, as one ``(F, *shape)`` block.
+
+    The interior is one subtraction over each flat field shifted a step
+    along ``axis``; the pairs it wraps across the boundary layers are
+    overwritten with one-sided differences, and one divide covers the
+    block — the per-region stencil's own operations, bit for bit.
     """
-    n = f.shape[axis]
-    out = np.empty_like(f)
-
-    def ix(sl):
-        index = [slice(None)] * f.ndim
-        index[axis] = sl
-        return tuple(index)
-
-    def shape_c(sl):
-        shape = [1] * f.ndim
-        shape[axis] = -1
-        return centers[sl].reshape(shape)
-
-    def diff_into(target, hi, lo, c_hi, c_lo):
-        np.subtract(f[ix(hi)], f[ix(lo)], out=target)
-        np.divide(target, shape_c(c_hi) - shape_c(c_lo), out=target)
-
+    shape = fields[0].shape
+    n = shape[axis]
+    out = np.empty((len(fields), *shape), dtype=fields[0].dtype)
     if n == 1:
-        out[...] = 0.0
+        out.fill(0)     # degenerate axis: no neighbours to difference
         return out
-    # interior: (f[i+1] - f[i-1]) / (c[i+1] - c[i-1])
-    if n > 2:
-        diff_into(out[ix(slice(1, -1))], slice(2, None), slice(None, -2),
-                  slice(2, None), slice(None, -2))
-    # boundaries: first-order one-sided
-    diff_into(out[ix(slice(0, 1))], slice(1, 2), slice(0, 1),
-              slice(1, 2), slice(0, 1))
-    diff_into(out[ix(slice(n - 1, n))], slice(n - 1, n), slice(n - 2, n - 1),
-              slice(n - 1, n), slice(n - 2, n - 1))
+    step = math.prod(shape[axis + 1:])
+    blocks = out.reshape(len(fields), -1, n, step)
+    for f, o in zip(fields, blocks):
+        g = f.reshape(-1, n, step)
+        if n > 2:
+            flat = g.reshape(-1)
+            np.subtract(flat[2 * step:], flat[:-2 * step],
+                        out=o.reshape(-1)[step:-step])
+        np.subtract(g[:, 1], g[:, 0], out=o[:, 0])
+        np.subtract(g[:, n - 1], g[:, n - 2], out=o[:, n - 1])
+    np.divide(blocks, denominator, out=blocks)
     return out
+
+
+def _axis_derivative(f, centers: np.ndarray, axis: int) -> np.ndarray:
+    """One field's derivative with respect to cell-center coordinates."""
+    return axis_derivative(
+        (f,), axis_denominator(centers, f.shape, axis), axis)[0]
 
 
 def grad3d_numpy(field: np.ndarray, dims, x: np.ndarray, y: np.ndarray,
@@ -86,6 +115,10 @@ def grad3d_numpy(field: np.ndarray, dims, x: np.ndarray, y: np.ndarray,
 
     Returns shape ``(n_cells, VECTOR_WIDTH)`` with components
     (d/dx, d/dy, d/dz, 0).
+
+    Its bytecode keys every persisted compiled plan (the registry
+    fingerprint), so it keeps its own copy of :func:`mesh_cells`'s
+    checks rather than invalidate those plans.
     """
     ni, nj, nk = (int(d) for d in np.asarray(dims).ravel()[:3])
     n_cells = ni * nj * nk

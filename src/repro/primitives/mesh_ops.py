@@ -21,15 +21,15 @@ import numpy as np
 
 from .base import CallStyle, Primitive, ResultKind, VECTOR_WIDTH
 from .gradient import AXIS_HELPER_CL, cell_centers, grad3d_numpy, \
-    _axis_derivative
+    mesh_cells, _axis_derivative
 
 __all__ = ["DIV3D", "CURL3D", "LAPLACE3D", "MESH_PRIMITIVES",
            "div3d_numpy", "curl3d_numpy", "laplace3d_numpy"]
 
 
 def _mesh_args(dims, x, y, z):
-    ni, nj, nk = (int(d) for d in np.asarray(dims).ravel()[:3])
-    return (ni, nj, nk), cell_centers(x), cell_centers(y), cell_centers(z)
+    shape, _ = mesh_cells((), dims, x, y, z)
+    return shape, cell_centers(x), cell_centers(y), cell_centers(z)
 
 
 def div3d_numpy(u, v, w, dims, x, y, z) -> np.ndarray:

@@ -34,9 +34,10 @@ paths within noise of un-instrumented code.
 from __future__ import annotations
 
 import itertools
+import os
+import random
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -45,6 +46,11 @@ __all__ = ["CounterSample", "DeviceSpan", "NULL_TRACER", "NullTracer",
 
 # Sentinel: "parent not given — use the calling thread's current span".
 _CURRENT = object()
+
+# Trace ids come from a per-process generator, not uuid4(): reading
+# os.urandom per root span hands the GIL to a busy worker mid-burst.
+_trace_ids = random.Random()
+os.register_at_fork(after_in_child=_trace_ids.seed)
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ class Tracer:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         else:
-            trace_id = uuid.uuid4().hex[:16]
+            trace_id = f"{_trace_ids.getrandbits(64):016x}"
             parent_id = None
         return Span(self, trace_id, next(self._ids), parent_id,
                     name, category, attrs)

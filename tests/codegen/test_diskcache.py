@@ -2,6 +2,7 @@
 must warm from disk with zero recompiles, stale entries must
 self-invalidate, and corrupt files must never crash an execution."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ import pytest
 
 from repro.analysis import vortex
 from repro.codegen import DiskLookup, PlanDiskCache
+from repro.codegen.compiled import codegen_token
 from repro.host.engine import DerivedFieldEngine
 from repro.metrics import MetricsRegistry, set_registry
+from repro.primitives import DEFAULT_REGISTRY
 from repro.strategies import plancache
 
 
@@ -189,6 +192,49 @@ class TestInvalidation:
         assert report.cache.invalidations == 1
         assert registry.value(
             "repro_plancache_invalidations_total") == 1
+
+
+class TestEarlierEntry:
+    """``data/q_criterion_cg2.json`` is the disk entry an earlier build
+    (``CODEGEN_VERSION`` 2, Python 3.11) wrote for ``small_fields``'s
+    q_criterion.  It must keep loading: the sweep source, the runtime
+    names it binds and the registry fingerprint are all unchanged."""
+
+    def test_loads_as_disk_hit_with_same_bytes(self, tmp_path,
+                                               small_fields):
+        fixture = os.path.join(os.path.dirname(__file__), "data",
+                               "q_criterion_cg2.json")
+        with open(fixture) as handle:
+            saved = json.load(handle)
+        payload = saved["payload"]
+        fingerprint = DEFAULT_REGISTRY.fingerprint()
+        written_by = payload["token"].split(":")[1]
+        if saved["python"] == "%d.%d" % sys.version_info[:2]:
+            # Same bytecode: the fingerprint keyed into the entry's
+            # file name must be the one this build computes.
+            assert fingerprint == written_by
+        else:
+            # Registry bytecode differs between Python versions; re-key
+            # the entry for this interpreter and check the rest.
+            for field in ("token", "key"):
+                payload[field] = payload[field].replace(written_by,
+                                                        fingerprint)
+        assert payload["token"] == codegen_token(DEFAULT_REGISTRY)
+        name = hashlib.sha256(payload["key"].encode()).hexdigest()
+        os.makedirs(tmp_path / "plans")
+        with open(tmp_path / "plans" / f"{name}.json", "w") as handle:
+            json.dump(payload, handle)
+
+        loaded, counters = _run(tmp_path / "plans", small_fields)
+        assert loaded.codegen.disposition == "disk-hit"
+        assert counters["compiles"] == 0
+        fresh, _ = _run(tmp_path / "fresh", small_fields)
+        assert fresh.codegen.disposition == "cold-codegen"
+        assert loaded.output.tobytes() == fresh.output.tobytes()
+        with open(tmp_path / "fresh" / _cache_files(
+                tmp_path / "fresh")[0]) as handle:
+            assert json.load(handle)["entry"]["sweep_source"] \
+                == payload["entry"]["sweep_source"]
 
 
 class TestDiskCacheUnit:

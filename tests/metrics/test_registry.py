@@ -85,6 +85,13 @@ class TestHistogram:
         histogram.observe(99.0)
         assert histogram.cumulative() == [(1.0, 0), (math.inf, 1)]
 
+    def test_nan_counts_in_inf_bucket(self):
+        histogram = MetricsRegistry().histogram(
+            "repro_t_seconds", "t", buckets=(1.0, 10.0))
+        histogram.observe(math.nan)
+        assert histogram.cumulative() == [(1.0, 0), (10.0, 0),
+                                          (math.inf, 1)]
+
 
 class TestLabels:
     def test_children_are_independent_and_cached(self):

@@ -1,11 +1,16 @@
 """Unit tests for the 3D rectilinear gradient primitive."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.clsim.compiler import PREAMBLE, validate_source
+from repro.codegen.runtime import grad3d_rows, grad3d_stack
 from repro.errors import PrimitiveError
-from repro.primitives import GRAD3D, VECTOR_WIDTH, cell_centers, grad3d_numpy
+from repro.primitives import (GRAD3D, VECTOR_WIDTH, cell_centers,
+                              div3d_numpy, grad3d_numpy, laplace3d_numpy)
+from repro.primitives.gradient import _axis_derivative
 from repro.workloads import linear_field, quadratic_field
 
 
@@ -142,3 +147,147 @@ class TestOpenCLSource:
     def test_call_style_is_global(self):
         from repro.primitives import CallStyle
         assert GRAD3D.call_style is CallStyle.GLOBAL
+
+
+def region_axis_derivative(f, centers, axis):
+    """The region-by-region stencil the kernel replaced: each region's
+    difference subtracted into a view of the output, then divided by a
+    freshly broadcast spacing array.  The bitwise oracle below."""
+    n = f.shape[axis]
+    out = np.empty_like(f)
+
+    def ix(sl):
+        index = [slice(None)] * f.ndim
+        index[axis] = sl
+        return tuple(index)
+
+    def shape_c(sl):
+        shape = [1] * f.ndim
+        shape[axis] = -1
+        return centers[sl].reshape(shape)
+
+    def diff_into(target, hi, lo):
+        np.subtract(f[ix(hi)], f[ix(lo)], out=target)
+        np.divide(target, shape_c(hi) - shape_c(lo), out=target)
+
+    if n == 1:
+        out[...] = 0.0
+        return out
+    if n > 2:
+        diff_into(out[ix(slice(1, -1))], slice(2, None), slice(None, -2))
+    diff_into(out[ix(slice(0, 1))], slice(1, 2), slice(0, 1))
+    diff_into(out[ix(slice(n - 1, n))], slice(n - 1, n),
+              slice(n - 2, n - 1))
+    return out
+
+
+def region_rows(field, dims, x, y, z):
+    f = np.asarray(field).reshape(dims)
+    return [region_axis_derivative(f, cell_centers(c), axis).ravel()
+            for axis, c in enumerate((x, y, z))]
+
+
+def nonuniform_mesh(rng, ni, nj, nk):
+    return tuple(np.cumsum(rng.random(n + 1) + 0.05) for n in (ni, nj, nk))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+SIZES = (1, 2, 3, 5)
+SPECIALS = (np.nan, np.inf, -np.inf, 5e-324, -1e-310, 0.0, -0.0)
+
+
+class TestBitwiseAgainstRegionStencil:
+    """The kernel makes the old stencil's subtractions and divisions,
+    so it must agree with it bit for bit on every layout and value."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dims", list(itertools.product(SIZES,
+                                                            repeat=3)))
+    def test_every_axis_size(self, dims, dtype):
+        rng = np.random.default_rng(sum(dims))
+        x, y, z = nonuniform_mesh(rng, *dims)
+        f = rng.standard_normal(dims).astype(dtype)
+        for axis, c in enumerate((x, y, z)):
+            centers = cell_centers(c)
+            assert same_bits(_axis_derivative(f, centers, axis),
+                             region_axis_derivative(f, centers, axis))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_inf_and_denormals(self, dtype):
+        rng = np.random.default_rng(11)
+        dims = (4, 5, 6)
+        x, y, z = nonuniform_mesh(rng, *dims)
+        f = rng.standard_normal(dims)
+        flat = f.reshape(-1)
+        picks = rng.choice(flat.size, size=40, replace=False)
+        flat[picks] = np.resize(SPECIALS, picks.size)
+        f = f.astype(dtype)
+        with np.errstate(all="ignore"):
+            for axis, c in enumerate((x, y, z)):
+                centers = cell_centers(c)
+                assert same_bits(_axis_derivative(f, centers, axis),
+                                 region_axis_derivative(f, centers, axis))
+
+    def test_fortran_ordered_field(self):
+        rng = np.random.default_rng(5)
+        dims = (4, 3, 5)
+        x, y, z = nonuniform_mesh(rng, *dims)
+        f = np.asfortranarray(rng.standard_normal(dims))
+        for axis, c in enumerate((x, y, z)):
+            centers = cell_centers(c)
+            assert same_bits(_axis_derivative(f, centers, axis),
+                             region_axis_derivative(f, centers, axis))
+
+    def test_strided_columns(self):
+        """laplace3d hands div3d the strided ``g[:, c]`` columns of a
+        gradient's ``(n, 4)`` array."""
+        rng = np.random.default_rng(6)
+        dims = (5, 4, 6)
+        x, y, z = nonuniform_mesh(rng, *dims)
+        g = grad3d_numpy(rng.standard_normal(120), dims, x, y, z)
+        assert not g[:, 1].flags.c_contiguous
+        want = sum(region_axis_derivative(g[:, axis].reshape(dims),
+                                          cell_centers(c), axis)
+                   for axis, c in enumerate((x, y, z))).ravel()
+        assert same_bits(div3d_numpy(g[:, 0], g[:, 1], g[:, 2], dims,
+                                     x, y, z), want)
+        f = rng.standard_normal(120)
+        rows = region_rows(f, dims, x, y, z)
+        g = np.zeros((120, VECTOR_WIDTH))
+        for axis in range(3):
+            g[:, axis] = rows[axis]
+        want = sum(region_axis_derivative(g[:, axis].reshape(dims),
+                                          cell_centers(c), axis)
+                   for axis, c in enumerate((x, y, z))).ravel()
+        assert same_bits(laplace3d_numpy(f, dims, x, y, z), want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_interpreter_primitive(self, dtype):
+        rng = np.random.default_rng(8)
+        dims = (3, 4, 5)
+        x, y, z = nonuniform_mesh(rng, *dims)
+        f = rng.standard_normal(60).astype(dtype)
+        g = grad3d_numpy(f, dims, x, y, z)
+        for axis, row in enumerate(region_rows(f, dims, x, y, z)):
+            assert same_bits(np.ascontiguousarray(g[:, axis]), row)
+
+    @pytest.mark.parametrize("dtypes", [
+        (np.float64,), (np.float32, np.float32),
+        (np.float64, np.float64, np.float64),
+        (np.float32, np.float64, np.float32)])
+    def test_grad3d_stack(self, dtypes):
+        rng = np.random.default_rng(len(dtypes))
+        dims = (4, 5, 6)
+        x, y, z = nonuniform_mesh(rng, *dims)
+        fields = [rng.standard_normal(120).astype(t) for t in dtypes]
+        rows = grad3d_stack(fields, dims, x, y, z)
+        want = [r for f in fields for r in region_rows(f, dims, x, y, z)]
+        assert len(rows) == len(want)
+        for got, ref in zip(rows, want):
+            assert same_bits(got, ref)
+        assert all(same_bits(a, b) for a, b in zip(
+            grad3d_rows(fields[0], dims, x, y, z), want[:3]))

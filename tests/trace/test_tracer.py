@@ -1,6 +1,9 @@
 """Tests for the span tracer core: nesting, ids, threads, null tracer."""
 
+import os
+import re
 import threading
+import uuid
 
 import pytest
 
@@ -93,6 +96,42 @@ class TestSpanTree:
         for t in threads:
             t.join()
         assert seen == {"t1": True, "t2": True}
+
+
+class TestTraceIds:
+    """Root spans draw trace ids without reading ``os.urandom``: that
+    syscall releases the GIL on the submitting thread mid-burst."""
+
+    def test_no_urandom_per_root_span(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("trace id read os.urandom")
+
+        monkeypatch.setattr(os, "urandom", refuse)
+        monkeypatch.setattr(uuid, "uuid4", refuse)
+        tracer = Tracer()
+        ids = [tracer.span("req", parent=None).trace_id
+               for _ in range(10_000)]
+        assert all(re.fullmatch("[0-9a-f]{16}", t) for t in ids)
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_its_own_ids(self):
+        tracer = Tracer()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:        # child: report its first id and leave
+            try:
+                os.write(write_end,
+                         tracer.span("c", parent=None).trace_id.encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        mine = tracer.span("p", parent=None).trace_id
+        with os.fdopen(read_end) as pipe:
+            theirs = pipe.read()
+        os.waitpid(pid, 0)
+        assert re.fullmatch("[0-9a-f]{16}", theirs)
+        assert theirs != mine
 
 
 class TestSpanLifecycle:
