@@ -134,9 +134,9 @@ class Allocator:
 
     def note_external_peak(self, nbytes: int) -> None:
         """Raise the high-water mark to a peak modeled outside this
-        allocator.  The compiled executor backend never allocates device
-        buffers on a warm launch; it reports the peak the base plan's
-        modeled walk captured so Fig 6 accounting is unchanged."""
+        allocator: a run notes its plan's fold peak, which a compiled
+        sweep (no device buffers) or a chunked plan's overlapped slabs
+        never reach live, so Fig 6 accounting is unchanged."""
         if nbytes > self.peak_bytes:
             self.peak_bytes = nbytes
             self._m_peak.set(self.peak_bytes)

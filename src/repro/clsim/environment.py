@@ -43,9 +43,9 @@ class TimingSummary:
     build: float
     wall: float
     # Timeline end: latest modeled completion across the event log.  On
-    # the serial in-order queue this equals ``total`` + build; under the
-    # overlapped streaming timeline (transfers of chunk k+1 behind the
-    # compute of chunk k) it is strictly smaller — the double-buffering
+    # the serial in-order queue this equals ``total`` + build; on a
+    # chunked plan's overlapped timeline (the upload of slab k+1 behind
+    # the compute of slab k) it is strictly smaller — the double-buffering
     # win is exactly ``total + build - makespan``.
     makespan: float = 0.0
 
@@ -70,11 +70,11 @@ class TimingSummary:
 class CLEnvironment:
     """One device's context, queue, and instrumentation.
 
-    Environments always run live.  :func:`repro.strategies.plan` plans
-    shapes by running a schedule's modeled walk
-    (:meth:`~repro.strategies.plancache.ExecutablePlan.model`) on a fresh
-    environment's allocator and event log — a live run's events, peak
-    and out-of-memory failures, without data.
+    A plan's launch allocates through :attr:`context` and computes; its
+    caller records the plan's fold
+    (:class:`~repro.strategies.plancache.ModeledRun`) in :attr:`queue`'s
+    log.  A custom strategy records as it goes, through ``upload`` and
+    the queue's ``enqueue_*`` calls.
     """
 
     def __init__(self, device: str | DeviceType | DeviceSpec = "gpu", *,
@@ -90,28 +90,6 @@ class CLEnvironment:
         self.context = Context(self.device, backend=backend,
                                pooling=pooling, registry=registry)
         self.queue = CommandQueue(self.context, registry=registry)
-
-    def capture(self) -> "CLEnvironment":
-        """A capture twin of this environment: the *same* context
-        (allocator and buffer pool — so buffers and pooled reuse behave
-        exactly as a run on this environment would) but a private,
-        registry-silent command queue.
-
-        Streaming runs each chunk on a twin and re-times the chunks'
-        streams (:func:`~repro.clsim.pipeline.overlap_events`) into this
-        environment's log; a batch runs each interpreter member on one
-        to keep its live events silent while the engine records the
-        plan's coalesced fold — so process-wide counters see each
-        modeled event exactly once, on the merged timeline.
-        """
-        from ..metrics import NULL_REGISTRY
-
-        twin = object.__new__(CLEnvironment)
-        twin.device = self.device
-        twin.tracer = NULL_TRACER
-        twin.context = self.context
-        twin.queue = CommandQueue(self.context, registry=NULL_REGISTRY)
-        return twin
 
     # -- buffers -------------------------------------------------------------
 

@@ -73,10 +73,9 @@ class EventLog:
     cursor: float = 0.0
     # Record hook, called as ``observer(kind, count, nbytes)``: the
     # command queue installs its device's :func:`event_counters` here,
-    # so every event a queue's log records — a live launch's, or a
-    # folded run's recorded by the engine — lands in the process-wide
-    # transfer/kernel counters (DESIGN.md §9) no matter which call site
-    # produced it.
+    # so every event a queue's log records — a custom strategy's, or a
+    # plan's fold — lands in the process-wide transfer/kernel counters
+    # (DESIGN.md §9) no matter which call site produced it.
     observer: Optional[Callable[[EventKind, int, int], None]] = None
 
     def record(self, event: Event) -> None:
@@ -165,8 +164,7 @@ def event_counters(device: str, registry=None,
     measurement surface): returns ``observe(kind, count, nbytes)``,
     which advances that kind's count counter and bytes counter.  The
     children are bound once, so one observation costs two increments.
-    ``registry`` overrides the process registry (``NULL_REGISTRY``
-    keeps a capture twin silent)."""
+    ``registry`` overrides the process registry."""
     if registry is None:
         registry = get_registry()
     transfers = registry.counter(

@@ -1,49 +1,28 @@
-"""Modeled event-stream transforms: batch coalescing and transfer overlap.
+"""Batch coalescing of modeled event streams.
 
-Two rewrites of device-event streams, both pure functions of the
-analytic performance model (no NumPy work happens here):
-
-* :func:`coalesce_events` — merge B structurally-identical streams (the
-  same plan launched over B requests' bindings) into the stream one
-  *batched* launch would produce: each transfer pays the link latency
-  once over the summed payload, each kernel pays the launch overhead
-  once.  This is the modeled win the service's micro-batching dispatch
-  amortizes; the engine coalesces a plan's fold B times for a batch of
-  B (:meth:`~repro.host.engine.DerivedFieldEngine.execute_batch`).
-
-* :func:`overlap_events` — re-time per-chunk streams onto a device with
-  separate host-to-device, compute, and device-to-host engines (the
-  dual-DMA layout of the paper's Tesla M2050), bounded to ``depth``
-  chunks in flight.  Chunk k+1's uploads start while chunk k computes —
-  classic double buffering — so the stream's *makespan* drops below the
-  serial sum while every per-category total is unchanged.
-
-The overlapped events carry the rewritten timeline in ``ts_seconds``,
-and :meth:`~repro.clsim.events.EventLog.record` preserves pre-stamped
-timestamps, so they are recorded into a live environment's log and flow
-into timing summaries and Chrome-trace lanes unmodified; coalesced
-events are unstamped, ready for sequential recording.
+:func:`coalesce_events` — a pure function of the analytic performance
+model (no NumPy work happens here) — merges B structurally-identical
+streams (the same plan launched over B requests' bindings) into the
+stream one *batched* launch would produce: each transfer pays the link
+latency once over the summed payload, each kernel pays the launch
+overhead once.  This is the modeled win the service's micro-batching
+dispatch amortizes; the engine coalesces a plan's fold B times for a
+batch of B (:meth:`~repro.host.engine.DerivedFieldEngine.execute_batch`).
+A chunked plan's overlapped transfer/compute timeline is stamped by the
+plan's own fold
+(:meth:`~repro.strategies.plancache.ExecutablePlan.modeled`).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .device import DeviceSpec
 from .events import Event, EventKind, EventLog
 from .perfmodel import transfer_seconds
 
-__all__ = ["coalesce_events", "overlap_events", "makespan"]
-
-# Which engine executes each event category under the overlapped model.
-# Builds share the compute engine: compilation occupies the device core.
-_LANES = {
-    EventKind.DEV_WRITE: "h2d",
-    EventKind.KERNEL: "compute",
-    EventKind.BUILD: "compute",
-    EventKind.DEV_READ: "d2h",
-}
+__all__ = ["coalesce_events"]
 
 _TRANSFERS = (EventKind.DEV_WRITE, EventKind.DEV_READ)
 
@@ -52,12 +31,6 @@ def _event_lists(streams: Sequence[EventLog | Sequence[Event]],
                  ) -> list[list[Event]]:
     return [list(s.events) if isinstance(s, EventLog) else list(s)
             for s in streams]
-
-
-def makespan(events: Iterable[Event]) -> float:
-    """Timeline end: the latest modeled completion across all events."""
-    return max(((e.ts_seconds or 0.0) + e.sim_seconds for e in events),
-               default=0.0)
 
 
 def coalesce_events(streams: Sequence[EventLog | Sequence[Event]],
@@ -114,45 +87,3 @@ def coalesce_events(streams: Sequence[EventLog | Sequence[Event]],
                             nbytes, sim_seconds=sim, wall_seconds=wall,
                             ts_seconds=None))
     return merged
-
-
-def overlap_events(chunk_streams: Sequence[EventLog | Sequence[Event]],
-                   depth: int = 2) -> list[Event]:
-    """Re-time per-chunk streams onto overlapped transfer/compute engines.
-
-    Models a device with three independent in-order engines — an
-    upload DMA (``h2d``), the compute core, and a readback DMA (``d2h``)
-    — and at most ``depth`` chunks resident at once (``depth=2`` is
-    double buffering: chunk k+1 may begin uploading only after chunk
-    k-1 fully completed and released its buffers).
-
-    Within a chunk, program order is the dependency chain (uploads feed
-    the kernel, the kernel feeds the readback), so each event starts no
-    earlier than its predecessor's completion; across chunks, only
-    engine occupancy and the residency bound serialize.  Every event
-    keeps its modeled duration — the rewrite changes *when*, never *how
-    long*, so per-category totals (Fig 5) are invariant and the win
-    shows up purely as makespan.
-
-    Returns the events of all chunks stamped onto the overlapped
-    timeline, sorted by start time.
-    """
-    if depth < 1:
-        raise ValueError(f"pipeline depth must be >= 1: {depth}")
-    lists = _event_lists(chunk_streams)
-    lane_free = {"h2d": 0.0, "compute": 0.0, "d2h": 0.0}
-    chunk_done: list[float] = []
-    out: list[Event] = []
-    for index, events in enumerate(lists):
-        gate = chunk_done[index - depth] if index >= depth else 0.0
-        prev_end = gate
-        for event in events:
-            lane = _LANES[event.kind]
-            start = max(lane_free[lane], prev_end)
-            end = start + event.sim_seconds
-            lane_free[lane] = end
-            prev_end = end
-            out.append(replace(event, ts_seconds=start))
-        chunk_done.append(prev_end)
-    out.sort(key=lambda e: (e.ts_seconds or 0.0))
-    return out

@@ -4,7 +4,8 @@ Mirrors the PyOpenCL calls the paper's framework issues:
 ``enqueue_write_buffer`` (host->device), ``enqueue_read_buffer``
 (device->host), ``enqueue_kernel`` (ND-range launch) and program builds.
 Every call appends a profiled :class:`~repro.clsim.events.Event`; the
-Table II counters and Fig 5 timings fall out of this log.
+Table II counters and Fig 5 timings fall out of this log.  A plan's
+launch calls only :meth:`CommandQueue.run_kernel`, the execute step.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ class CommandQueue:
         self.log = EventLog()
         self._xfer_seconds: dict[int, float] = {}
         # Every record path of the log lands in the registry's
-        # transfer/kernel counters; ``registry`` overrides the process
-        # registry — a capture twin passes NULL_REGISTRY to stay silent.
+        # transfer/kernel counters (``registry``, default the process's).
         self.log.observer = event_counters(self.device.name, registry)
 
     def xfer_seconds(self, nbytes: int) -> float:
@@ -120,17 +120,23 @@ class CommandQueue:
     def enqueue_kernel(self, kernel: Kernel, args: Sequence[object],
                        out: "Buffer | Sequence[Buffer]",
                        cost: KernelCost) -> None:
-        """Launch a kernel: run its NumPy executor over the buffer args and
-        store the result(s) in ``out`` (K-Exe event).
+        """Launch a kernel (:meth:`run_kernel`) and record its K-Exe
+        event.  ``out`` is one buffer, or a sequence when the kernel
+        writes several global arrays."""
+        outs = list(out) if isinstance(out, (list, tuple)) else [out]
+        wall = self.run_kernel(kernel, args, outs)
+        self.log.record(Event(
+            EventKind.KERNEL, kernel.name, cost.global_bytes,
+            sim_seconds=kernel_seconds(cost, self.device),
+            wall_seconds=wall))
 
-        ``args`` may mix :class:`Buffer` (passed as its device array) and
-        plain scalars (OpenCL by-value arguments).  ``out`` is one buffer,
-        or a sequence when the kernel writes several global arrays (a fused
-        kernel materializing multiple intermediates); the executor must
-        then return a matching tuple.
-        """
-        outs: list[Buffer] = list(out) if isinstance(out, (list, tuple)) \
-            else [out]
+    def run_kernel(self, kernel: Kernel, args: Sequence[object],
+                   outs: "Sequence[Buffer]") -> float:
+        """Run the kernel's NumPy executor (on the ``interpreted``
+        backend, its OpenCL C) over ``args`` — :class:`Buffer` objects
+        and by-value scalars — and store its result(s), a tuple for
+        several, in ``outs``.  Returns the host wall seconds; records
+        nothing."""
         device_args = [a.get_data() if isinstance(a, Buffer) else a
                        for a in args]
         if self.context.backend == "interpreted" and kernel.source.strip():
@@ -151,10 +157,7 @@ class CommandQueue:
                         f"{array.nbytes} B but output buffer "
                         f"{buf.label!r} is {buf.nbytes} B")
                 buf.data = np.ascontiguousarray(array)
-        self.log.record(Event(
-            EventKind.KERNEL, kernel.name, cost.global_bytes,
-            sim_seconds=kernel_seconds(cost, self.device),
-            wall_seconds=wall))
+        return wall
 
     def build_program(self, program: Program) -> Program:
         """Build a program (BUILD event with compile-time cost)."""

@@ -11,9 +11,11 @@ fold's counts and timing with the sweep's host wall time, notes the
 fold's peak on the allocator and reports the allocator's peak, and the
 engine records the fold's events in the live log with one
 :meth:`~repro.clsim.events.EventLog.record_all`, advancing each
-registry counter once.  Event counts, modeled timings, transfer bytes,
-and the Fig 6 peak therefore match the interpreter bit-for-bit; only
-the host wall time changes (that is the point).
+registry counter once — as for an interpreter plan, whose launch runs
+the whole schedule instead of one sweep.  Event counts, modeled
+timings, transfer bytes, and the Fig 6 peak therefore match the
+interpreter bit-for-bit; only the host wall time changes (that is the
+point).
 
 A compiled plan shares its base plan's ``generated_sources``: the
 OpenCL C the sweep replaces is built (and validated) only when something
@@ -95,10 +97,13 @@ class CompiledPlan(ExecutablePlan):
         self.primitive_names = primitive_names
         self.fold = fold
 
+    def modeled(self, device) -> ModeledRun:
+        """The base plan's fold (a compiled plan is built per device)."""
+        return self.fold
+
     def launch(self, bindings: Mapping[str, Binding],
                env: CLEnvironment) -> np.ndarray:
-        """Run the sweep and return the output; records nothing (the
-        fold stands for the schedule)."""
+        """Run the sweep and return the output; records nothing."""
         args = [bindings[s].data for s in self.source_order]
         with env.tracer.span("compiled.sweep", category="strategy",
                              kernel="_sweep"):

@@ -14,9 +14,9 @@ planned stages, generated + validated OpenCL C, compiled kernels (fusion
 builds these two on first use), buffer sizes — and a persistent pooled
 :class:`~repro.clsim.environment.CLEnvironment` whose buffer pool recycles
 device reservations between runs.  A warm ``execute()`` therefore only
-binds the new arrays, launches, and reads back.  Cold and warm runs share
-one code path (``build_plan`` + ``plan.run``), so a warm run's output,
-event counts, and modeled timings are identical to a cold run's.
+binds the new arrays and launches.  Every run reports its plan's fold,
+which the engine records once (coalesced for a batch), so a warm run's
+output, event counts, and modeled timings are identical to a cold run's.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class PreparedExecution:
     worker's :meth:`DerivedFieldEngine.execute_batch`.
 
     ``key`` is ``None`` when this engine bypasses the plan cache
-    (``plan_cache=False``, or a strategy without ``build_plan``).
+    (``plan_cache=False``, or a strategy that is not ``plan_cached``).
     ``sources`` is the network's source order, for positional rebinding
     on a structural cache hit.
     """
@@ -129,8 +129,8 @@ class DerivedFieldEngine:
     :class:`PlanCache` instance is shared as-is, and ``False`` disables
     caching entirely (every run re-plans, like the seed implementation).
     The persistent warm environment pools released device-buffer
-    reservations.  Strategies without ``build_plan`` (streaming,
-    multi-device) always take the uncached fresh-environment path.  The
+    reservations.  Strategies that are not ``plan_cached`` (streaming,
+    multi-device, custom ones) take the uncached fresh-environment path.  The
     engine runs live arrays only (:meth:`prepare` rejects shape-only
     bindings); dry runs over shapes go through
     :func:`repro.strategies.plan`.
@@ -176,7 +176,7 @@ class DerivedFieldEngine:
         # plan cache (or with a strategy that cannot build plans) it has
         # nowhere to hang, so requests for it downgrade gracefully.
         can_compile = (self.plan_cache is not None
-                       and hasattr(self.strategy, "build_plan"))
+                       and self.strategy.plan_cached)
         if backend is None:
             backend = ("compiled"
                        if can_compile and self.strategy.name == "fusion"
@@ -334,8 +334,7 @@ class DerivedFieldEngine:
             bindings, n, dtype = self.strategy.prepare(compiled.network,
                                                        fields)
             require_data(bindings, HostInterfaceError)
-            if (self.plan_cache is None
-                    or not hasattr(self.strategy, "build_plan")):
+            if self.plan_cache is None or not self.strategy.plan_cached:
                 key: Optional[PlanKey] = None
                 sources: tuple[str, ...] = ()
             else:
@@ -362,16 +361,13 @@ class DerivedFieldEngine:
         runs on the warm environment exactly as :meth:`execute_prepared`.
 
         For B >= 2 every member's report is *identical* to its solo warm
-        run.  A compiled member reports its fold and runs on the warm
-        environment; an interpreter member records live, so it runs on a
-        capture twin (same context, allocator, and buffer pool; private
-        silent event log).  The plan's fold coalesced B times
+        run: each member launches on the warm environment and reports the
+        plan's fold.  The fold coalesced B times
         (:func:`~repro.clsim.pipeline.coalesce_events`) is the batched
-        timeline the warm log records once: transfers
-        move the stacked payload behind one link latency and each kernel
-        pays its launch overhead once.  That timeline is the batch's
-        ``modeled_seconds``.  An unkeyed batch of one takes the uncached
-        path.
+        timeline the warm log records once: transfers move the stacked
+        payload behind one link latency and each kernel pays its launch
+        overhead once.  That timeline is the batch's ``modeled_seconds``.
+        An unkeyed batch of one takes the uncached path.
         """
         if not batch:
             raise ValueError("execute_batch needs at least one request")
@@ -450,49 +446,39 @@ class DerivedFieldEngine:
                                  else self.env_backend),
                         disposition=disposition, compiled=ran_compiled)
                 tracer.note_plan(head.key, plan, disposition=disposition)
-                fold = plan.fold
                 reports: list[ExecutionReport] = []
                 anchor = tracer.now()
                 with tracer.span("plan.launch", category="engine",
                                  **(attrs if batched else {})):
                     for member in batch:
-                        run_env = env
                         if batched:
                             env.context.allocator.reset_peak()
-                            if fold is None:
-                                # A live launch records as it runs: keep
-                                # a member's events off the warm log.
-                                run_env = env.capture()
                         report = plan.run(
                             plan.rebind(member.bindings, member.sources),
-                            run_env)
+                            env)
                         report.cache = self.plan_cache.info(hit)
-                        report.alloc = run_env.alloc_stats()
+                        report.alloc = env.alloc_stats()
                         report.codegen = codegen
                         report.trace_id = exec_span.trace_id
                         reports.append(report)
                 exec_span.annotate(cache_hit=hit)
-                timeline = fold
+                timeline = plan.modeled(self.device_spec)
                 if batched:
                     # Record the batched timeline once, into the warm
                     # environment's observed log: process-wide transfer
                     # and kernel counters see what the device would
                     # actually do — one coalesced launch — not B solo
                     # runs.
-                    solo = fold or plan.modeled(self.device_spec)
                     timeline = ModeledRun.of(coalesce_events(
-                        [solo.events] * len(batch), self.device_spec),
-                        solo.peak)
+                        [timeline.events] * len(batch), self.device_spec),
+                        timeline.peak)
                     env.context.allocator.reset_peak()
                     env.context.allocator.note_external_peak(
                         max(r.mem_high_water for r in reports))
                     exec_span.annotate(
                         modeled_seconds=timeline.timing.total)
-                if timeline is not None:
-                    timeline.record(env.queue.log,
-                                    sum(r.timing.wall for r in reports))
-                modeled = (reports[0] if timeline is None
-                           else timeline).timing.total
+                timeline.record(env.queue.log,
+                                sum(r.timing.wall for r in reports))
                 log = get_logger()
                 if log.debug_enabled:
                     log.debug("engine.execute", tracer=tracer,
@@ -501,7 +487,7 @@ class DerivedFieldEngine:
                               cache=disposition)
                 self._trace_device_run(env, anchor)
                 self._observe_execute("hit" if hit else "miss", start)
-                return BatchExecution(reports, modeled, hit)
+                return BatchExecution(reports, timeline.timing.total, hit)
 
     def _codegen_plan(self, prepared: PreparedExecution):
         """Obtain a compiled plan for a cache miss.

@@ -23,7 +23,6 @@ from ..clsim.environment import CLEnvironment, TimingSummary
 from ..clsim.events import EventCounts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .multidevice import DeviceReport
     from .plancache import CacheInfo
 from ..dataflow.network import Network
 from ..errors import StrategyError
@@ -32,8 +31,8 @@ from ..primitives.base import ResultKind, VECTOR_WIDTH
 from .bindings import Binding, BindingInput, normalize, \
     problem_size, require_data
 
-__all__ = ["CodegenInfo", "ExecutionReport", "ExecutionStrategy",
-           "ctype_for"]
+__all__ = ["CodegenInfo", "DeviceReport", "ExecutionReport",
+           "ExecutionStrategy", "ctype_for"]
 
 
 def ctype_for(dtype: np.dtype) -> str:
@@ -60,6 +59,16 @@ class CodegenInfo:
     backend: str
     disposition: str
     compiled: bool
+
+
+@dataclass(frozen=True)
+class DeviceReport:
+    """Per-device accounting of one multi-device execution."""
+
+    device: str
+    counts: EventCounts
+    timing: TimingSummary
+    mem_high_water: int
 
 
 @dataclass
@@ -94,7 +103,7 @@ class ExecutionReport:
     generated_sources: Mapping[str, str] = field(default_factory=dict)
     cache: "Optional[CacheInfo]" = None
     alloc: Optional[AllocationStats] = None
-    device_reports: "tuple[DeviceReport, ...]" = ()
+    device_reports: tuple[DeviceReport, ...] = ()
     codegen: Optional[CodegenInfo] = None
     # Correlation id of the trace this execution ran under (None when
     # the engine ran with the null tracer).  Bundles, trace files, and
@@ -139,7 +148,6 @@ class ExecutionReport:
         """Rebuild a report from :meth:`to_json` output.  ``output`` comes
         back ``None`` — arrays are never serialized."""
         from ..clsim.buffer import AllocationStats as Alloc
-        from .multidevice import DeviceReport
         from .plancache import CacheInfo
 
         def counts(d: dict) -> EventCounts:
@@ -174,15 +182,20 @@ class ExecutionStrategy:
     """Base class: orchestration helpers shared by all strategies."""
 
     name: str = "abstract"
+    # Whether an engine caches this strategy's plans on its pooled warm
+    # environment.  Chunked strategies do not: the pool would round
+    # their slabs' reservations up to size classes and move their peaks.
+    plan_cached: bool = False
 
     def execute(self, network: Network,
                 arrays: Mapping[str, BindingInput],
                 env: CLEnvironment) -> ExecutionReport:
         """Run ``network`` over the bound host arrays on ``env``'s device.
 
-        Plannable strategies (those defining ``build_plan``, which emits
-        the op schedule) inherit this: prepare, build, launch.  The others
-        (streaming, multi-device) override it.  Shape-only bindings raise
+        Strategies with ``build_plan`` (which emits the op schedule)
+        inherit this: prepare, build, then
+        :meth:`~repro.strategies.plancache.ExecutablePlan.execute`.  A
+        custom strategy may override it instead.  Shape-only bindings raise
         :class:`~repro.errors.StrategyError`: shapes are walked by
         :func:`repro.strategies.plan`, not executed.
         """
@@ -194,7 +207,7 @@ class ExecutionStrategy:
             log.debug("strategy.execute", tracer=env.tracer,
                       strategy=self.name, device=env.device.name,
                       n=n, dtype=str(dtype))
-        return plan.run(bindings, env)
+        return plan.execute(bindings, env)
 
     def plan_token(self) -> tuple:
         """This strategy's contribution to the executable-plan cache key.

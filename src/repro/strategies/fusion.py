@@ -166,6 +166,7 @@ class FusionStrategy(ExecutionStrategy):
     """Single (or minimal) kernel execution with register intermediates."""
 
     name = "fusion"
+    plan_cached = True
 
     def build_plan(self, network: Network,
                    bindings: Mapping[str, Binding],

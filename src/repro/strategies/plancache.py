@@ -17,19 +17,14 @@ in), generated (and validated) OpenCL C, compiled
 executors — fusion builds these two on first read, see
 :class:`~repro.clsim.kernel.KernelSources` — precomputed byte sizes and
 :class:`~repro.clsim.perfmodel.KernelCost` models.  One launcher,
-:meth:`ExecutablePlan.launch`, runs any strategy's schedule; a warm
-``run()`` only binds input arrays and runs it again — producing the
-*identical* event sequence, allocation order, and bitwise-identical
-output of a cold run.  :meth:`ExecutablePlan.model` walks the same
-schedule for its modeled effects alone (a dry run), and
-:meth:`ExecutablePlan.modeled` folds that walk once per device into a
-:class:`ModeledRun` — events, counts, timing, peak, and the
-out-of-memory point — which :func:`~repro.strategies.planner.plan`, the
-compiled backend and batch coalescing read instead of walking again.
+:meth:`ExecutablePlan.launch`, runs any strategy's schedule and only
+computes; a warm run binds new arrays and launches again, with the cold
+run's allocation order and bitwise-identical output.
+:meth:`ExecutablePlan.modeled` walks the schedule for its modeled effects
+alone and folds the walk once per device into a :class:`ModeledRun` —
+events, counts, timing, peak, and the out-of-memory point — which every
+run reports, and the planner and batch coalescing read.
 
-Strategies that support planning implement ``build_plan()`` and inherit
-:meth:`~repro.strategies.base.ExecutionStrategy.execute`, which routes
-through it, so cold and warm paths share one code path by construction.
 :class:`PlanCache` (held by
 :class:`~repro.host.engine.DerivedFieldEngine`) is an LRU keyed by
 :class:`PlanKey` — a content hash of the network structure plus every
@@ -43,14 +38,18 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Union
+from dataclasses import astuple, dataclass, replace
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..clsim.buffer import Allocator, Buffer
+from ..clsim.context import Context
+from ..clsim.device import DeviceSpec
 from ..clsim.environment import CLEnvironment, TimingSummary
-from ..clsim.events import Event, EventCounts, EventKind, EventLog
+from ..clsim.events import (Event, EventCounts, EventKind, EventLog,
+                            event_counters)
 from ..clsim.kernel import Kernel, KernelSources
 from ..clsim.perfmodel import KernelCost, kernel_seconds, transfer_seconds
 from ..dataflow.network import Network
@@ -58,7 +57,7 @@ from ..errors import CLOutOfMemoryError
 from ..metrics import NULL_REGISTRY, get_registry
 from ..dataflow.spec import CONST, SOURCE
 from ..primitives.base import ResultKind, VECTOR_WIDTH
-from .base import ExecutionReport
+from .base import DeviceReport, ExecutionReport
 from .bindings import Binding
 
 __all__ = ["CODEGEN_VERSION", "ExecutablePlan", "PlanKey", "PlanCache",
@@ -270,10 +269,19 @@ class PlanCache:
 # by integer *slot* (roundtrip uploads a fresh buffer for every argument
 # occurrence, so a node id does not identify a buffer); host values — source
 # bindings, read-back results, host-side computations — are named by node id.
+# Every op also says where it runs: its ``slab`` of a chunked plan
+# (:mod:`repro.strategies.chunking`) and its ``device`` — 0 is the launching
+# environment's, k >= 1 the plan's ``devices[k - 1]``.
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Placed:
+    slab: int = 0
+    device: int = 0
 
 
 @dataclass(frozen=True)
-class UploadOp:
+class UploadOp(_Placed):
     """Copy a host value into a fresh device buffer (one Dev-W)."""
 
     slot: int
@@ -282,7 +290,7 @@ class UploadOp:
 
 
 @dataclass(frozen=True)
-class AllocOp:
+class AllocOp(_Placed):
     """Reserve an uninitialized device buffer for a kernel output."""
 
     slot: int
@@ -291,7 +299,7 @@ class AllocOp:
 
 
 @dataclass(frozen=True)
-class KernelOp:
+class KernelOp(_Placed):
     """Launch one kernel (one K-Exe) over buffer slots, then any trailing
     by-value scalars; ``outs`` receive its result(s)."""
 
@@ -303,7 +311,7 @@ class KernelOp:
 
 
 @dataclass(frozen=True)
-class ReadOp:
+class ReadOp(_Placed):
     """Read a buffer back into host value ``node_id`` (one Dev-R)."""
 
     slot: int
@@ -312,14 +320,14 @@ class ReadOp:
 
 
 @dataclass(frozen=True)
-class ReleaseOp:
+class ReleaseOp(_Placed):
     """Return buffers to the allocator (or the pool) eagerly."""
 
     slots: tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class HostOp:
+class HostOp(_Placed):
     """Compute host value ``node_id`` on the host — no device events.
     ``fn`` receives the host values of ``inputs``; the modeled walk
     skips it."""
@@ -332,16 +340,23 @@ class HostOp:
 Op = Union[UploadOp, AllocOp, KernelOp, ReadOp, ReleaseOp, HostOp]
 
 _TRANSFER_KIND = {UploadOp: EventKind.DEV_WRITE, ReadOp: EventKind.DEV_READ}
+_ENGINES = {EventKind.DEV_WRITE: "h2d", EventKind.KERNEL: "compute",
+            EventKind.DEV_READ: "d2h"}
+_start = attrgetter("ts_seconds")
 
 
 @dataclass(frozen=True)
 class ModeledRun:
-    """A schedule's modeled effects on one device, folded once: the
-    events a run records and the counts, timing (wall 0) and peak it
-    reports.  ``events`` are stamped on the in-order queue from 0, and
-    ``totals`` are their per-kind ``(kind, count, nbytes)`` sums.  On a
-    device too small for the schedule, ``error`` is the out-of-memory
-    failure and the rest is what came before it."""
+    """A schedule's modeled effects, folded once: the events a run
+    records and the counts, timing (wall 0) and peak it reports.
+    ``events`` are the launching device's, stamped from 0 on its
+    timeline (:meth:`ExecutablePlan._walk`), and ``totals`` are their
+    per-kind ``(kind, count, nbytes)`` sums.  On a device too small for
+    the schedule, ``error`` is the out-of-memory failure and the rest is
+    what came before it.  A multi-device fold sums counts over its
+    ``devices``, takes the slowest device's timing per category and the
+    largest peak, and keeps each further device's totals in ``others``
+    for that device's counters."""
 
     events: tuple[Event, ...]
     totals: tuple[tuple[EventKind, int, int], ...]
@@ -350,6 +365,8 @@ class ModeledRun:
     peak: int
     error: Optional[CLOutOfMemoryError] = None
     last_kernel: Optional[int] = None   # index of the last kernel event
+    devices: tuple[DeviceReport, ...] = ()
+    others: tuple[tuple[str, tuple], ...] = ()
 
     @classmethod
     def of(cls, events: Iterable[Event], peak: int,
@@ -369,7 +386,8 @@ class ModeledRun:
     def record(self, log: EventLog, wall: float = 0.0) -> None:
         """Record the (pre-stamped) events in an empty ``log`` with one
         :meth:`EventLog.record_all`; ``wall`` rides on the last kernel
-        event, the one new :class:`Event`."""
+        event, the one new :class:`Event`.  Further devices' totals
+        advance their own devices' counters."""
         events, at = self.events, self.last_kernel
         if wall and at is not None:
             e = events[at]
@@ -377,6 +395,10 @@ class ModeledRun:
                                           e.sim_seconds, wall, e.ts_seconds),
                       *events[at + 1:])
         log.record_all(events, self.totals)
+        for name, totals in self.others:
+            observe = event_counters(name)
+            for kind, count, nbytes in totals:
+                observe(kind, count, nbytes)
 
 
 class ExecutablePlan:
@@ -388,12 +410,17 @@ class ExecutablePlan:
     kernels, and costs — so one plan instance can run any number of times,
     on any environment of the same device/backend.
 
-    A plan whose launch records nothing in the environment (a compiled
-    sweep) sets ``fold``: :meth:`run` reports it, and the caller records
-    it — once for a solo run, coalesced for a batch.
+    Every plan is accounted one way: :meth:`launch` only computes,
+    :meth:`run` reports the plan's fold (:meth:`modeled`), and one
+    caller records the fold — :meth:`execute` for a strategy's run, the
+    engine for a cached one (once solo, coalesced for a batch).  A
+    chunked plan (:func:`~repro.strategies.chunking.chunk_plan`) sets
+    ``pipeline_depth``, the slabs one device holds at once, and
+    ``devices``, the further devices its ops' device indices name.
     """
 
-    fold: Optional[ModeledRun] = None
+    pipeline_depth: int = 1
+    devices: tuple[DeviceSpec, ...] = ()
 
     def __init__(self, strategy_name: str, source_order: tuple[str, ...],
                  n: int, dtype: np.dtype, output_id: str,
@@ -413,34 +440,39 @@ class ExecutablePlan:
 
     def launch(self, bindings: Mapping[str, Binding],
                env: CLEnvironment) -> np.ndarray:
-        """Run the op schedule on ``env`` and return the raw output.
-        Buffers still live when the schedule ends — or when an op fails
-        (OOM, validation) — are released."""
+        """Run the op schedule and return the raw output; records
+        nothing.  Buffers come from ``env``'s context (device k's from a
+        fresh one on ``devices[k - 1]``), so pooling, the live peak and
+        out-of-memory at allocation are real.  Buffers still live when
+        the schedule ends — or when an op fails — are released."""
         with env.tracer.span("plan.schedule", category="strategy",
                              strategy=self.strategy_name,
                              ops=len(self.ops)):
-            queue = env.queue
+            run_kernel = env.queue.run_kernel
+            contexts = [env.context, *(Context(d, backend=env.context.backend)
+                                       for d in self.devices)]
             host = {s: bindings[s].data for s in self.source_order}
             live: dict[int, Buffer] = {}
             try:
                 for op in self.ops:
                     kind = type(op)
                     if kind is UploadOp:
-                        live[op.slot] = env.upload(host[op.node_id],
-                                                   op.node_id)
+                        array = host[op.node_id]
+                        live[op.slot] = buf = contexts[op.device] \
+                            .create_buffer(array.nbytes, op.node_id)
+                        buf.set_data(array)
                     elif kind is AllocOp:
-                        live[op.slot] = env.create_buffer(op.nbytes,
-                                                          op.node_id)
+                        live[op.slot] = contexts[op.device].create_buffer(
+                            op.nbytes, op.node_id)
                     elif kind is KernelOp:
                         args = [live[s] for s in op.args]
                         args.extend(op.by_value)
-                        queue.enqueue_kernel(op.kernel, args,
-                                             [live[s] for s in op.outs],
-                                             op.cost)
+                        run_kernel(op.kernel, args,
+                                   [live[s] for s in op.outs])
                     elif kind is ReadOp:
-                        result = queue.enqueue_read_buffer(live[op.slot])
+                        result = live[op.slot].get_data().copy()
                         if op.reshape:
-                            result = result.reshape(self.n, -1)
+                            result = result.reshape(-1, VECTOR_WIDTH)
                         host[op.node_id] = result
                     elif kind is ReleaseOp:
                         for s in op.slots:
@@ -453,84 +485,159 @@ class ExecutablePlan:
                     buf.release()
         return self._broadcast(host[self.output_id])
 
-    def model(self, allocator: Allocator, log: EventLog) -> None:
-        """Apply only the schedule's modeled effects: reservations on
-        ``allocator``, and the upload, kernel and read events a live
-        launch records, in ``log``.  A reservation that does not fit
-        raises :class:`~repro.errors.CLOutOfMemoryError` after the events
-        before it; whatever is still reserved is released.  This walk is
-        a dry run; :meth:`modeled` folds it once per device."""
-        device = allocator.device
-        reserved: dict[int, tuple[int, str]] = {}   # slot -> (size, label)
+    def _walk(self, allocators: Sequence[Allocator]):
+        """The modeled walk: each op's reservations on
+        ``allocators[op.device]`` and its events, stamped on its device's
+        timeline.  Returns each device's events (an :class:`EventLog`)
+        and per-slab peaks, and the out-of-memory error of a reservation
+        that did not fit (the walk stops there); whatever is still
+        reserved is released.
+
+        A device has three in-order engines — upload DMA, compute core,
+        readback DMA (the M2050's dual-DMA layout) — and holds at most
+        ``pipeline_depth`` slabs: a slab starts once the slab that many
+        before it ended.  Within a slab each event starts when its
+        predecessor ends and its engine is free; across slabs only the
+        engines and that bound serialize, and devices run concurrently.
+        Events keep their modeled durations, so the overlap moves only
+        the makespan; with one slab the stamps are the in-order queue's.
+        """
+        depth = self.pipeline_depth
+        logs = [EventLog() for _ in allocators]
+        peaks: list[list[int]] = [[] for _ in allocators]
+        ends: list[list[float]] = [[] for _ in allocators]  # slab ends
+        free: dict[tuple[int, str], float] = {}  # engine -> when free
+        reserved: dict[int, tuple[int, str, int]] = {}  # slot -> op facts
+        at, end, error = None, 0.0, None
         try:
             for op in self.ops:
                 kind = type(op)
+                if kind is ReleaseOp:
+                    for s in op.slots:
+                        nbytes, _, owner = reserved.pop(s)
+                        allocators[owner].release(nbytes)
+                if kind is ReleaseOp or kind is HostOp:
+                    continue
+                device = op.device
+                allocator = allocators[device]
+                if (device, op.slab) != at:
+                    if at is not None:
+                        ends[at[0]].append(end)
+                    at, done = (device, op.slab), ends[device]
+                    end = done[-depth] if len(done) >= depth else 0.0
+                    peaks[device].append(0)
                 if kind is UploadOp or kind is AllocOp:
                     allocator.reserve(op.nbytes, op.node_id)
-                    reserved[op.slot] = (op.nbytes, op.node_id)
-                if kind is UploadOp or kind is ReadOp:
-                    nbytes, label = reserved[op.slot]
-                    log.record(Event(
-                        _TRANSFER_KIND[kind], label, nbytes,
-                        sim_seconds=transfer_seconds(nbytes, device)))
-                elif kind is KernelOp:
-                    log.record(Event(
-                        EventKind.KERNEL, op.kernel.name,
-                        op.cost.global_bytes,
-                        sim_seconds=kernel_seconds(op.cost, device)))
-                elif kind is ReleaseOp:
-                    for s in op.slots:
-                        allocator.release(reserved.pop(s)[0])
+                    reserved[op.slot] = (op.nbytes, op.node_id, device)
+                    peaks[device][-1] = max(peaks[device][-1],
+                                            allocator.current_bytes)
+                    if kind is AllocOp:
+                        continue
+                if kind is KernelOp:
+                    event_kind = EventKind.KERNEL
+                    name, nbytes = op.kernel.name, op.cost.global_bytes
+                    seconds = kernel_seconds(op.cost, allocator.device)
+                else:
+                    event_kind = _TRANSFER_KIND[kind]
+                    nbytes, name, _ = reserved[op.slot]
+                    seconds = transfer_seconds(nbytes, allocator.device)
+                engine = (device, _ENGINES[event_kind])
+                start = max(free.get(engine, 0.0), end)
+                end = free[engine] = start + seconds
+                logs[device].record(
+                    Event(event_kind, name, nbytes, seconds, 0.0, start))
+        except CLOutOfMemoryError as exc:
+            error = exc
         finally:
-            for nbytes, _ in reserved.values():
-                allocator.release(nbytes)
+            for nbytes, _, owner in reserved.values():
+                allocators[owner].release(nbytes)
+        return logs, peaks, error
 
-    def modeled(self, device) -> ModeledRun:
-        """The schedule's :class:`ModeledRun` on ``device``: the
-        :meth:`model` walk on an unmetered allocator, folded on first
-        request and memoized (the plan is immutable; two threads racing
-        here may both walk, and every caller gets the first fold kept)."""
+    def model(self, allocator: Allocator, log: EventLog) -> None:
+        """A dry run: the walk's reservations on ``allocator`` (a further
+        device's on an unmetered one) and the launching device's events
+        in ``log``; a reservation that does not fit raises
+        :class:`~repro.errors.CLOutOfMemoryError` after the events
+        before it.  :meth:`modeled` folds the walk once per device."""
+        logs, _, error = self._walk([allocator, *(
+            Allocator(d, registry=NULL_REGISTRY) for d in self.devices)])
+        for event in sorted(logs[0].events, key=_start):
+            log.record(event)
+        if error is not None:
+            raise error
+
+    def modeled(self, device: DeviceSpec) -> ModeledRun:
+        """The schedule's :class:`ModeledRun` launched on ``device``:
+        the walk on unmetered allocators, folded on first request and
+        memoized (the plan is immutable; two threads racing here may
+        both walk, and every caller gets the first fold kept).  A
+        device's peak is the most ``pipeline_depth`` consecutive slabs
+        reserve together."""
         run = self._modeled.get(device)
         if run is None:
-            allocator = Allocator(device, registry=NULL_REGISTRY)
-            log = EventLog()
-            error = None
-            try:
-                self.model(allocator, log)
-            except CLOutOfMemoryError as exc:
-                error = exc
-            run = self._modeled.setdefault(
-                device, ModeledRun.of(log.events, allocator.peak_bytes,
-                                      error))
+            specs = (device, *self.devices)
+            logs, peaks, error = self._walk(
+                [Allocator(d, registry=NULL_REGISTRY) for d in specs])
+            depth = self.pipeline_depth
+            parts = [ModeledRun.of(
+                sorted(log.events, key=_start),
+                max((sum(p[i:i + depth]) for i in range(len(p))),
+                    default=0), error) for log, p in zip(logs, peaks)]
+            run = parts[0]
+            if len(parts) > 1:
+                run = replace(
+                    run, peak=max(p.peak for p in parts),
+                    counts=EventCounts(*map(sum, zip(
+                        *(p.counts.as_row() for p in parts)))),
+                    timing=TimingSummary(*map(max, zip(
+                        *(astuple(p.timing) for p in parts)))),
+                    devices=tuple(DeviceReport(d.name, p.counts, p.timing,
+                                               p.peak)
+                                  for d, p in zip(specs, parts)),
+                    others=tuple((d.name, p.totals)
+                                 for d, p in zip(specs[1:], parts[1:])))
+            run = self._modeled.setdefault(device, run)
         return run
 
     def run(self, bindings: Mapping[str, Binding],
             env: CLEnvironment) -> ExecutionReport:
-        """Execute and assemble the instrumented report: from what
-        ``env`` recorded, or — for a plan with a ``fold`` — from the
-        fold and the launch's host wall time, with the fold's peak noted
-        on ``env``'s allocator as a live launch would leave its own."""
+        """Launch and report the fold on ``env``'s device, with the
+        launch's host wall time and ``env``'s allocator peak once the
+        fold's peak is noted on it (a pooled launch can peak higher).
+        Records nothing."""
+        fold = self.modeled(env.device)
         start = time.perf_counter()
         output = self.launch(bindings, env)
         wall = time.perf_counter() - start
-        fold = self.fold
-        if fold is None:
-            counts, timing = env.event_counts(), env.timing()
-        else:
-            t = fold.timing
-            counts = fold.counts
-            timing = TimingSummary(t.host_to_device, t.kernel_exec,
-                                   t.device_to_host, t.build, wall,
-                                   t.makespan)
-            env.context.allocator.note_external_peak(fold.peak)
+        t = fold.timing
+        env.context.allocator.note_external_peak(fold.peak)
         return ExecutionReport(
             strategy=self.strategy_name,
             output=output,
-            counts=counts,
-            timing=timing,
+            counts=fold.counts,
+            timing=TimingSummary(t.host_to_device, t.kernel_exec,
+                                 t.device_to_host, t.build, wall,
+                                 t.makespan),
             mem_high_water=env.mem_high_water,
             generated_sources=self.generated_sources,
+            device_reports=fold.devices,
         )
+
+    def execute(self, bindings: Mapping[str, Binding],
+                env: CLEnvironment) -> ExecutionReport:
+        """:meth:`run`, then record the fold in ``env``'s log.  On a
+        device too small for the schedule, the events before the failing
+        reservation are recorded and the fold's error is raised."""
+        fold = self.modeled(env.device)
+        try:
+            report = self.run(bindings, env)
+        except CLOutOfMemoryError:
+            if fold.error is None:
+                raise
+            fold.record(env.queue.log)
+            raise fold.error from None
+        fold.record(env.queue.log, report.timing.wall)
+        return report
 
     def pull_kernels(self) -> None:
         """Build the plan's on-demand kernels now — render, validate and

@@ -18,10 +18,9 @@ from typing import Mapping, Optional, Union
 
 from ..clsim.device import DeviceSpec, DeviceType
 from ..clsim.environment import TimingSummary
-from ..clsim.events import EventCounts, event_counters
+from ..clsim.events import EventCounts, EventLog, event_counters
 from ..clsim.platform import find_device
 from ..dataflow.network import Network
-from ..errors import StrategyError
 from .base import ExecutionStrategy
 from .bindings import ArraySpec
 from .reference import ReferenceKernel
@@ -62,9 +61,10 @@ def plan(strategy: Union[ExecutionStrategy, ReferenceKernel],
 
     ``network`` is required for :class:`ExecutionStrategy` instances and
     ignored for :class:`ReferenceKernel` (which binds its own inputs).
-    Strategies without an op schedule (streaming, multi-device) cannot
-    be planned.  The fold's events advance the process-wide
-    ``repro_clsim_*`` transfer and kernel counters, as a live run's do.
+    Chunked strategies (streaming, multi-device) plan like the others:
+    their schedules are op tuples too.  The fold's events advance the
+    process-wide ``repro_clsim_*`` transfer and kernel counters, as a
+    live run's do.
     """
     if isinstance(strategy, ReferenceKernel):
         bindings, n, dtype = strategy.prepare(shapes)
@@ -72,18 +72,11 @@ def plan(strategy: Union[ExecutionStrategy, ReferenceKernel],
     else:
         if network is None:
             raise ValueError("network required for strategy plans")
-        if not hasattr(strategy, "build_plan"):
-            raise StrategyError(
-                f"{strategy.name} works on live arrays and has no op "
-                "schedule to plan; plan one chunk or slab with its "
-                "inner strategy instead")
         bindings, n, dtype = strategy.prepare(network, shapes)
         schedule = strategy.build_plan(network, bindings, n, dtype)
     spec = device if isinstance(device, DeviceSpec) else find_device(device)
     fold = schedule.modeled(spec)
-    observe = event_counters(spec.name)
-    for kind, count, nbytes in fold.totals:
-        observe(kind, count, nbytes)
+    fold.record(EventLog(observer=event_counters(spec.name)))
     failed = fold.error is not None
     return PlanResult(
         strategy=strategy.name,

@@ -194,4 +194,4 @@ class ReferenceKernel:
                 env: CLEnvironment) -> ExecutionReport:
         bindings, n, dtype = self.prepare(arrays)
         require_data(bindings)
-        return self.build_plan(bindings, n, dtype).run(bindings, env)
+        return self.build_plan(bindings, n, dtype).execute(bindings, env)

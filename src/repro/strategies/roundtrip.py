@@ -49,6 +49,7 @@ class RoundtripStrategy(ExecutionStrategy):
     """Kernel-per-primitive with host round trips for every intermediate."""
 
     name = "roundtrip"
+    plan_cached = True
 
     def build_plan(self, network: Network,
                    bindings: Mapping[str, Binding],

@@ -47,6 +47,7 @@ class StagedStrategy(ExecutionStrategy):
     """Kernel-per-primitive with device-resident intermediates."""
 
     name = "staged"
+    plan_cached = True
 
     def build_plan(self, network: Network,
                    bindings: Mapping[str, Binding],

@@ -1,13 +1,21 @@
-"""Unit tests for the modeled event-stream transforms
-(:mod:`repro.clsim.pipeline`): batch coalescing, transfer/compute
-overlap, and the makespan helper."""
+"""Unit tests for batch coalescing (:mod:`repro.clsim.pipeline`) and
+the overlapped timeline a chunked schedule's fold is stamped on."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.clsim.device import NVIDIA_M2050_GPU
 from repro.clsim.events import Event, EventKind, EventLog
-from repro.clsim.perfmodel import transfer_seconds
-from repro.clsim.pipeline import coalesce_events, makespan, overlap_events
+from repro.clsim.kernel import Kernel
+from repro.clsim.perfmodel import KernelCost, transfer_seconds
+from repro.clsim.pipeline import coalesce_events
+from repro.errors import StrategyError
+from repro.primitives.base import ResultKind
+from repro.strategies import StreamingFusionStrategy
+from repro.strategies.plancache import (AllocOp, ExecutablePlan, KernelOp,
+                                        ReadOp, ReleaseOp, UploadOp)
 
 DEVICE = NVIDIA_M2050_GPU
 
@@ -22,19 +30,6 @@ def stream(nbytes=8192, kernel_s=1e-3, tag="a"):
               DEVICE.kernel_launch_overhead + kernel_s),
         Event(EventKind.DEV_READ, f"out.{tag}", nbytes, up),
     ]
-
-
-class TestMakespan:
-    def test_empty_stream(self):
-        assert makespan([]) == 0.0
-
-    def test_unstamped_events_anchor_at_zero(self):
-        assert makespan([Event(EventKind.KERNEL, "k", 0, 2.5)]) == 2.5
-
-    def test_latest_completion_wins(self):
-        events = [Event(EventKind.KERNEL, "k", 0, 1.0, ts_seconds=0.0),
-                  Event(EventKind.DEV_READ, "r", 8, 0.5, ts_seconds=3.0)]
-        assert makespan(events) == 3.5
 
 
 class TestCoalesce:
@@ -96,70 +91,106 @@ class TestCoalesce:
             coalesce_events([stream(), other], DEVICE)
 
 
-class TestOverlap:
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError, match="depth"):
-            overlap_events([stream()], depth=0)
+def chunked(n_slabs, depth, nbytes=8192):
+    """A chunked schedule: per slab, two uploads, a kernel, a readback,
+    then the slab's release — what ``chunk_plan`` emits."""
+    ops = []
+    for k in range(n_slabs):
+        u, v, out = 3 * k, 3 * k + 1, 3 * k + 2
+        ops += [UploadOp(u, f"u.{k}", nbytes, slab=k),
+                UploadOp(v, f"v.{k}", nbytes, slab=k),
+                AllocOp(out, f"out.{k}", nbytes, slab=k),
+                KernelOp(Kernel(f"k.{k}"), (u, v), (out,),
+                         KernelCost(3 * nbytes, 10 ** 7), slab=k),
+                ReadOp(out, f"out.{k}", slab=k),
+                ReleaseOp((u, v, out), slab=k)]
+    plan = ExecutablePlan("chunked", (), nbytes // 8, np.float64, "out.0",
+                          ResultKind.SCALAR, False, {}, tuple(ops))
+    plan.pipeline_depth = depth
+    return plan
 
-    def test_single_chunk_is_serial(self):
-        events = overlap_events([stream()], depth=2)
-        serial = sum(e.sim_seconds for e in stream())
-        assert makespan(events) == pytest.approx(serial)
+
+def fold(n_slabs, depth):
+    return chunked(n_slabs, depth).modeled(DEVICE)
+
+
+def serial_sum(run):
+    return sum(e.sim_seconds for e in run.events)
+
+
+class TestChunkedTimeline:
+    """A chunked schedule's fold overlaps its slabs on the device's
+    upload, compute and readback engines, at most ``depth`` slabs
+    resident at once."""
+
+    def test_rejects_bad_depth(self):
+        with pytest.raises(StrategyError, match="pipeline_depth"):
+            StreamingFusionStrategy(pipeline_depth=0)
+
+    def test_single_slab_is_serial(self):
+        run = fold(1, depth=2)
+        assert run.timing.makespan == pytest.approx(serial_sum(run))
+        log = EventLog()
+        log.record_all([replace(e, ts_seconds=None) for e in run.events],
+                       ())
+        assert [e.ts_seconds for e in run.events] == \
+            [e.ts_seconds for e in log.events]
 
     def test_durations_and_totals_invariant(self):
-        chunks = [stream(tag=str(i)) for i in range(4)]
-        events = overlap_events(chunks, depth=2)
-        assert sorted(e.sim_seconds for e in events) == sorted(
-            e.sim_seconds for chunk in chunks for e in chunk)
-        assert sorted(e.name for e in events) == sorted(
-            e.name for chunk in chunks for e in chunk)
+        serial, overlapped = fold(4, depth=1), fold(4, depth=2)
+        assert sorted(e.sim_seconds for e in overlapped.events) == sorted(
+            e.sim_seconds for e in serial.events)
+        assert sorted(e.name for e in overlapped.events) == sorted(
+            e.name for e in serial.events)
+        assert replace(overlapped.timing, makespan=0.0) == \
+            replace(serial.timing, makespan=0.0)
+        assert overlapped.counts == serial.counts
 
     def test_overlap_beats_serial(self):
-        chunks = [stream(tag=str(i)) for i in range(4)]
-        serial = sum(e.sim_seconds for chunk in chunks for e in chunk)
-        assert makespan(overlap_events(chunks, depth=2)) < serial
+        run = fold(4, depth=2)
+        assert run.timing.makespan < serial_sum(run)
 
     def test_depth_one_is_fully_serial(self):
-        chunks = [stream(tag=str(i)) for i in range(4)]
-        serial = sum(e.sim_seconds for chunk in chunks for e in chunk)
-        assert makespan(overlap_events(chunks, depth=1)) == \
-            pytest.approx(serial)
+        run = fold(4, depth=1)
+        assert run.timing.makespan == pytest.approx(serial_sum(run))
 
     def test_next_upload_overlaps_current_compute(self):
-        chunks = [stream(tag="0"), stream(tag="1")]
-        events = {e.name: e for e in overlap_events(chunks, depth=2)}
+        events = {e.name: e for e in fold(2, depth=2).events}
         kernel0 = events["k.0"]
-        upload1 = events["u.1"]
-        assert upload1.ts_seconds < kernel0.ts_seconds + \
-            kernel0.sim_seconds
+        assert events["u.1"].ts_seconds < \
+            kernel0.ts_seconds + kernel0.sim_seconds
 
     def test_lanes_never_double_book(self):
         lanes = {EventKind.DEV_WRITE: "h2d", EventKind.KERNEL: "compute",
                  EventKind.BUILD: "compute", EventKind.DEV_READ: "d2h"}
-        events = overlap_events([stream(tag=str(i)) for i in range(5)],
-                                depth=3)
         free = {"h2d": 0.0, "compute": 0.0, "d2h": 0.0}
-        for event in events:        # sorted by start time
+        events = fold(5, depth=3).events
+        assert [e.ts_seconds for e in events] == \
+            sorted(e.ts_seconds for e in events)
+        for event in events:
             lane = lanes[event.kind]
             assert event.ts_seconds >= free[lane] - 1e-15
             free[lane] = event.ts_seconds + event.sim_seconds
 
-    def test_residency_bound_gates_chunk_start(self):
-        chunks = [stream(tag=str(i)) for i in range(3)]
-        deep = {e.name: e for e in overlap_events(chunks, depth=3)}
-        shallow = {e.name: e for e in overlap_events(chunks, depth=1)}
-        # With depth 1, chunk 1 cannot start before chunk 0 finished.
-        chunk0_end = max(shallow[f"{n}.0"].ts_seconds
+    def test_residency_bound_gates_slab_start(self):
+        deep = {e.name: e for e in fold(3, depth=3).events}
+        shallow = {e.name: e for e in fold(3, depth=1).events}
+        # With depth 1, slab 1 cannot start before slab 0 finished.
+        slab0_end = max(shallow[f"{n}.0"].ts_seconds
                         + shallow[f"{n}.0"].sim_seconds
                         for n in ("u", "v", "k", "out"))
-        assert shallow["u.1"].ts_seconds >= chunk0_end - 1e-15
+        assert shallow["u.1"].ts_seconds >= slab0_end - 1e-15
         assert deep["u.1"].ts_seconds < shallow["u.1"].ts_seconds
 
-    def test_replays_into_log_preserving_timeline(self):
-        events = overlap_events([stream(tag=str(i)) for i in range(3)],
-                                depth=2)
+    def test_recording_keeps_the_stamps(self):
+        run = fold(3, depth=2)
         log = EventLog()
-        for event in events:
-            log.record(event)
+        run.record(log)
         assert [e.ts_seconds for e in log.events] == \
-            [e.ts_seconds for e in events]
+            [e.ts_seconds for e in run.events]
+
+    def test_peak_is_the_resident_window(self):
+        slab = 3 * 8192
+        assert fold(4, depth=1).peak == slab
+        assert fold(4, depth=2).peak == 2 * slab
+        assert fold(2, depth=4).peak == 2 * slab

@@ -130,10 +130,18 @@ class TestDryRun:
                 env.mem_high_water
 
         live = CLEnvironment("gpu")
-        self.plan(square_kernel()).launch(self.bindings(np.zeros(8)), live)
+        self.plan(square_kernel()).execute(self.bindings(np.zeros(8)), live)
         dry = CLEnvironment("gpu")
         self.model(self.plan(square_kernel()), dry)
         assert measured(live) == measured(dry)
+        # The launch itself only computes: it records nothing, and its
+        # live allocator peaks where the walk does.
+        launched = CLEnvironment("gpu")
+        self.plan(square_kernel()).launch(self.bindings(np.zeros(8)),
+                                          launched)
+        assert launched.event_counts().as_row() == (0, 0, 0)
+        assert launched.mem_high_water == dry.mem_high_water
+        assert launched.mem_in_use == dry.mem_in_use == 0
 
 
 class TestEnvironment:

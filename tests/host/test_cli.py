@@ -49,6 +49,20 @@ class TestPlan:
         assert "modeled runtime" in out
         assert "Dev-W=3" in out
 
+    def test_streaming_plans_what_fusion_cannot_fit(self, capsys):
+        """Row 12's q_criterion needs more than the M2050's 3 GiB fused;
+        streamed in slabs it plans from shapes alone."""
+        row12 = ["plan", "q_criterion", "--table1-row", "12",
+                 "--device", "gpu", "--strategy"]
+        assert main([*row12, "fusion"]) == 1
+        fused = capsys.readouterr().out
+        assert "FAILED" in fused and "high-water: 2.531 GiB" in fused
+        assert main([*row12, "streaming"]) == 0
+        streamed = capsys.readouterr().out
+        assert "FAILED" not in streamed
+        assert "modeled runtime" in streamed
+        assert "K-Exe=4" in streamed
+
     def test_custom_grid(self, capsys):
         assert main(["plan", "vorticity_magnitude",
                      "--grid", "64x64x64"]) == 0

@@ -1,6 +1,8 @@
 """Tests for the future-work strategies: mesh-aware chunking, streaming
 fusion, and multi-device execution (paper Section VI)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,13 +149,20 @@ class TestStreamingStrategy:
         assert report.counts.kernel_execs == 4
         assert report.counts.dev_reads == 4
 
-    def test_dry_run_rejected(self, fields):
+    def test_dry_run_plans_what_executes(self, fields):
         from repro.strategies import ArraySpec, plan
         network = DerivedFieldEngine().compile(vortex.Q_CRITERION).network
         shapes = {k: ArraySpec(v.shape, v.dtype)
                   for k, v in fields.items()}
-        with pytest.raises(StrategyError, match="live arrays"):
-            plan(StreamingFusionStrategy(2), shapes, "gpu", network=network)
+        planned = plan(StreamingFusionStrategy(2), shapes, "gpu",
+                       network=network)
+        report = StreamingFusionStrategy(2).execute(network, fields,
+                                                    CLEnvironment("gpu"))
+        assert not planned.failed
+        assert planned.counts == report.counts
+        assert planned.timing == dataclasses.replace(report.timing,
+                                                     wall=0.0)
+        assert planned.mem_high_water == report.mem_high_water
         with pytest.raises(StrategyError, match=r"plan\(\)"):
             StreamingFusionStrategy(2).execute(network, shapes,
                                                CLEnvironment("gpu"))

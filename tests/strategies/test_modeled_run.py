@@ -139,16 +139,22 @@ class TestFold:
     def test_equals_a_live_run_on_a_fresh_environment(self, fields,
                                                       strategy):
         plan, bindings = base_plan(fields, strategy)
-        env = CLEnvironment(NVIDIA_M2050_GPU)
-        plan.run(bindings, env)
+        # A launch only computes: it records nothing, and its live
+        # allocator peaks where the fold does.
+        live = CLEnvironment(NVIDIA_M2050_GPU)
+        plan.launch(bindings, live)
         fold = plan.modeled(NVIDIA_M2050_GPU)
         assert fold.error is None
+        assert live.event_counts().as_row() == (0, 0, 0)
+        assert fold.peak == live.mem_high_water
+        # The fold is the dry walk's log, folded (the walk's events are
+        # pinned against live runs in pinned_traces.json).
+        env = CLEnvironment(NVIDIA_M2050_GPU)
+        plan.model(env.context.allocator, env.queue.log)
         assert fold.counts == env.event_counts()
-        assert fold.timing == dataclasses.replace(env.timing(), wall=0.0)
+        assert fold.timing == env.timing()
         assert fold.peak == env.mem_high_water
-        assert list(fold.events) == [
-            dataclasses.replace(e, wall_seconds=0.0)
-            for e in env.queue.log.events]
+        assert list(fold.events) == env.queue.log.events
 
     def test_too_small_a_device_folds_the_failure(self, fields):
         plan, _ = base_plan(fields)

@@ -1,6 +1,8 @@
 """Dry-run planner tests, including the Fig 2 memory-constraint example
 and the M2050 out-of-memory failure behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,9 +165,16 @@ class TestPlanIsTheWalk:
 
     @pytest.mark.parametrize("strategy", [StreamingFusionStrategy(2),
                                           MultiDeviceStrategy()])
-    def test_live_only_strategies_cannot_be_planned(self, strategy):
-        with pytest.raises(StrategyError, match="live arrays"):
-            plan(strategy, chain_shapes(10), "gpu", network=chain_network())
+    def test_chunked_strategies_plan_what_they_execute(self, strategy):
+        network = chain_network()
+        arrays = {name: np.linspace(0.0, 1.0, 10) for name in "ABC"}
+        planned = plan(strategy, chain_shapes(10), "gpu", network=network)
+        report = strategy.execute(network, arrays, CLEnvironment("gpu"))
+        assert not planned.failed
+        assert planned.counts == report.counts
+        assert planned.timing == dataclasses.replace(report.timing,
+                                                     wall=0.0)
+        assert planned.mem_high_water == report.mem_high_water
 
 
 class TestShapeOnlyBindingsDoNotExecute:
