@@ -414,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "requests into one batched device launch "
                         "(1 disables micro-batching; default 8)")
     p.add_argument("--batch-window", type=float, default=0.0,
-                   help="seconds the dispatcher may linger for same-plan "
-                        "followers before launching a partial batch "
+                   help="seconds a device worker may linger for "
+                        "same-plan followers before launching a partial "
+                        "batch "
                         "(bounded by request deadlines; default 0)")
     p.add_argument("--open-loop", action="store_true",
                    help="submit the whole request stream without waiting "

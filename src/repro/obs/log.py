@@ -1,7 +1,7 @@
 """Correlated structured logging: JSON-lines records with trace ids.
 
 :class:`StructuredLogger` is the process-wide event log the engine,
-strategies, codegen backend, workers, and dispatcher write through.
+strategies, codegen backend, and service workers write through.
 Every record is a flat dict — ``ts``, ``level``, ``event``, plus
 whatever fields the call site supplies (``trace_id`` / ``span_id`` /
 ``device`` / ``plan_key`` by convention) — so one ``grep trace_id``

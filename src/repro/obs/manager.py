@@ -80,7 +80,7 @@ class Observability:
     def on_request_done(self, request) -> Optional[str]:
         """Observe one resolved request; returns the bundle trigger that
         fired (None for a healthy request).  Never raises — this runs on
-        the dispatcher/worker resolution path."""
+        the worker resolution path."""
         try:
             return self._observe(request)
         except Exception:

@@ -2,7 +2,7 @@
 
 :class:`FlightRecorder` is a :class:`~repro.trace.Tracer` subclass the
 service installs by default, so every instrumented layer — engine
-phases, strategies, workers, the dispatcher — flows into it with no
+phases, strategies, the service's workers — flows into it with no
 call-site changes.  Unlike the full tracer (unbounded lists, meant for
 one explicitly-traced run), the recorder *summarizes as it goes*:
 

@@ -4,18 +4,19 @@ Turns the single-call engine into a request-serving system — the
 ROADMAP's scaling direction on top of the warm-execution layer:
 
 * :class:`DerivedFieldService` — the serving facade: bounded admission,
-  micro-batching dispatch, scheduling, device workers, metrics,
+  device workers that pull their own micro-batches, metrics,
   drain-clean shutdown;
 * :class:`ServiceRequest` / :class:`RequestStatus` — the request future
   and its life cycle;
 * :class:`ServiceClient` — the asyncio front-end (``await
   client.submit(...)`` / ``submit_many``) over request futures;
 * :class:`AdmissionQueue` — bounded intake with
-  :class:`~repro.errors.ServiceOverloaded` backpressure;
-* :class:`LeastLoadedScheduler` — least-outstanding-work routing with
-  plan-cache-locality affinity;
+  :class:`~repro.errors.ServiceOverloaded` backpressure, drained directly
+  by every worker;
 * :class:`DeviceWorker` — one thread per device, persistent warm engine,
-  shared thread-safe plan cache, coalesced batch launches;
+  shared thread-safe plan cache; an idle worker takes the queue head
+  plus its same-plan followers and launches them as one batch, so there
+  is no dispatcher thread and no per-worker inbox;
 * :class:`ServiceMetrics` — counters, queue gauge, batch-size histogram,
   latency percentiles, cache hit rate, per-device utilization, JSON
   snapshot;
@@ -48,14 +49,13 @@ from .loadgen import (LoadCase, build_service, default_cases,
 from .metrics import LatencyStats, ServiceMetrics, percentile
 from .queue import AdmissionQueue
 from .request import RequestStatus, ServiceRequest, TERMINAL_STATUSES
-from .scheduler import LeastLoadedScheduler, SchedulerDecision, WorkerView
 from .service import DerivedFieldService
 from .worker import DeviceWorker
 
 __all__ = [
     "AdmissionQueue", "DerivedFieldService", "DeviceWorker",
-    "LatencyStats", "LeastLoadedScheduler", "LoadCase", "RequestStatus",
-    "SchedulerDecision", "ServiceClient", "ServiceMetrics",
-    "ServiceRequest", "TERMINAL_STATUSES", "WorkerView", "build_service",
-    "default_cases", "format_load_report", "percentile", "run_load",
+    "LatencyStats", "LoadCase", "RequestStatus", "ServiceClient",
+    "ServiceMetrics", "ServiceRequest", "TERMINAL_STATUSES",
+    "build_service", "default_cases", "format_load_report", "percentile",
+    "run_load",
 ]

@@ -117,7 +117,7 @@ class ServiceClient:
                     f"{handle.status.value} without a cause"))
 
         def on_handle_done(_request: ServiceRequest) -> None:
-            # Resolving thread is a worker/dispatcher; hop to the loop.
+            # Resolving thread is a device worker; hop to the loop.
             # A closed loop means nobody is awaiting — drop silently
             # (the service-side resolution already completed).
             try:

@@ -25,7 +25,7 @@ Two load shapes are supported: the default **closed loop** above, and an
 **open loop** (``mode="open"``) where a single submitter offers requests
 at a fixed rate (or as fast as it can) *without* waiting for outcomes —
 the arrival process is independent of service speed, so bursts pile up
-in the admission queue and the dispatcher's micro-batching has same-plan
+in the admission queue and each worker's batch take has same-plan
 neighbors to coalesce.  Open-loop is how batchable load actually arrives
 (many in-situ producers per timestep), and it is the mode the
 batched-throughput benchmark drives.

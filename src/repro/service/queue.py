@@ -4,9 +4,10 @@ The service's single intake: :meth:`AdmissionQueue.offer` either admits a
 request or raises :class:`~repro.errors.ServiceOverloaded` when the queue
 is at its configured depth — callers get an immediate, explicit rejection
 instead of unbounded buffering (the classic load-shedding discipline: a
-deep queue only converts overload into latency).  The dispatcher drains
-the queue with :meth:`take`, which blocks with a timeout so shutdown can
-interleave.
+deep queue only converts overload into latency).  Every device worker
+drains the queue itself: :meth:`take` pops the head (blocking until a
+request arrives or the queue closes), and :meth:`take_matching` pulls
+same-plan followers from anywhere behind it.
 
 Depth changes are reported to an optional gauge callback (the service
 wires this to :class:`~repro.service.metrics.ServiceMetrics`), keeping
@@ -51,7 +52,7 @@ class AdmissionQueue:
 
         ``on_admit`` (when given) runs *inside the queue lock*, after the
         request is appended but before any consumer can take it — the
-        dispatcher drains under the same lock, so admission-side
+        workers drain under the same lock, so admission-side
         bookkeeping (the service's ``submitted`` counter) is guaranteed
         to happen-before the request's terminal bookkeeping.  Without the
         hook a terminal count could land first and a metrics snapshot
@@ -73,17 +74,21 @@ class AdmissionQueue:
             if on_admit is not None:
                 on_admit()
             size = len(self._items)
-            self._not_empty.notify()
+            # Wake every waiter: a notify() could land on a worker that
+            # lingers in take_matching for another plan key and leave an
+            # idle worker asleep in take().
+            self._not_empty.notify_all()
         self._gauge(size)
         return size
 
     def take(self, timeout: Optional[float] = None,
              ) -> Optional[ServiceRequest]:
-        """Pop the oldest request, blocking up to ``timeout`` seconds;
-        ``None`` when nothing arrived (or the queue closed empty)."""
+        """Pop the oldest request, waiting up to ``timeout`` seconds
+        (with ``None``, until one arrives or the queue closes); ``None``
+        when nothing arrived or the queue closed empty."""
         with self._not_empty:
-            if not self._items:
-                self._not_empty.wait(timeout)
+            self._not_empty.wait_for(
+                lambda: self._items or self._closed, timeout)
             if not self._items:
                 return None
             request = self._items.popleft()
@@ -96,14 +101,14 @@ class AdmissionQueue:
                       wait_until: Optional[float] = None,
                       ) -> "list[ServiceRequest]":
         """Extract up to ``limit`` requests satisfying ``match``, from
-        anywhere in the queue (the dispatcher's batch-coalescing scan:
+        anywhere in the queue (a worker's batch-coalescing scan:
         same-plan requests need not be adjacent).
 
         With ``wait_until`` (a ``time.monotonic`` instant) the call
         lingers for more matches until the limit fills, the deadline
-        passes, or the queue closes — the dispatcher bounds the linger by
-        the earliest member deadline, so waiting for a fuller batch can
-        never push a request past its budget.  FIFO order among matches
+        passes, or the queue closes — the worker bounds the linger by the
+        head request's deadline, so waiting for a fuller batch can never
+        push a request past its budget.  FIFO order among matches
         is preserved.
         """
         if limit <= 0:

@@ -12,10 +12,10 @@ with terminal exits ``REJECTED`` (admission control), ``TIMED_OUT``
 up), and ``FAILED`` (the execution raised, e.g. device OOM).
 
 Resolution is first-writer-wins under a per-request lock, so races
-between a worker finishing and a dispatcher timing the request out can
+between a worker finishing and a shutdown cancelling the request can
 never produce two outcomes; every request resolves exactly once.
 Cancellation is *cooperative*: :meth:`cancel` sets a flag that the
-dispatcher and workers check at their checkpoints — a request already
+workers check at their checkpoints — a request already
 launched runs to completion (kernels are not interruptible, exactly as
 on a real device queue).
 
@@ -47,7 +47,7 @@ class RequestStatus(enum.Enum):
     """Where a request is in its life cycle."""
 
     QUEUED = "queued"            # admitted, waiting in the admission queue
-    DISPATCHED = "dispatched"    # assigned to a device worker's inbox
+    DISPATCHED = "dispatched"    # taken by a device worker
     RUNNING = "running"          # executing on a device
     SERVED = "served"            # completed; report available
     REJECTED = "rejected"        # refused at admission (queue full)
@@ -85,7 +85,7 @@ class ServiceRequest:
         self.latency: Optional[float] = None  # submit -> resolve, seconds
         # Tracing: the request's root span (started by the service at
         # submission, finished here at resolution) and the queue-wait
-        # child the dispatcher closes on take.  Both None when the
+        # child the taking worker closes.  Both None when the
         # service runs untraced.
         self.span = span
         self.trace_id: Optional[str] = (
@@ -122,7 +122,7 @@ class ServiceRequest:
     @property
     def cancel_requested(self) -> bool:
         """Whether cancellation was *requested* (the cooperative flag the
-        dispatcher and workers check at their checkpoints)."""
+        workers check at their checkpoints)."""
         return self._cancel.is_set()
 
     def cancel(self) -> bool:
@@ -143,8 +143,8 @@ class ServiceRequest:
     def add_done_callback(self, fn) -> None:
         """Call ``fn(request)`` when the request resolves (immediately if
         it already has).  Callbacks run on the resolving thread — a
-        worker, the dispatcher, or the submitting thread — and must not
-        block; exceptions they raise are swallowed, matching
+        worker, the closing thread, or the submitting thread — and must
+        not block; exceptions they raise are swallowed, matching
         :meth:`concurrent.futures.Future.add_done_callback`.
         """
         with self._lock:

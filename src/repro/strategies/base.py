@@ -224,7 +224,7 @@ class ExecutionStrategy:
                 ) -> tuple[dict[str, Binding], int, np.dtype]:
         """Normalize bindings and compute problem sizing.
 
-        Public: hosts (the engine's plan path, the service scheduler) call
+        Public: hosts (the engine's plan path, the service front) call
         this to size and key an execution without running it.  The method
         is pure — safe to call concurrently on one strategy instance.
         """

@@ -135,8 +135,9 @@ class PlanKey:
 
     def for_device(self, device) -> "PlanKey":
         """This key re-targeted at another device — everything but the
-        device identity is device-independent, which is how the service
-        scheduler asks 'would this request hit on worker X's device?'."""
+        device identity is device-independent, which is how a service
+        worker keys a request prepared on the front engine for its own
+        device."""
         return replace(self,
                        device=(device.name, device.global_mem_bytes))
 

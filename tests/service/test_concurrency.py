@@ -8,10 +8,13 @@ Two layers are stressed:
   up;
 * a two-worker :class:`DerivedFieldService` — plans built by one worker
   must be warm hits for the other (identical device model), again with
-  bitwise-identical outputs.
+  bitwise-identical outputs; and a busy worker takes no new work, so
+  placement is least-loaded without a scheduler.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -134,3 +137,70 @@ class TestServiceCrossWorker:
         first = outputs[0]
         for output in outputs[1:]:
             assert np.array_equal(output, first)
+
+
+class TestPullPlacement:
+    def test_busy_worker_takes_no_new_work(self, fields, hold_engine):
+        """Only an idle worker takes from the admission queue: while
+        worker 0 is held inside its launch, a new request is served by
+        worker 1."""
+        inputs = {k: fields[k]
+                  for k in EXPRESSION_INPUTS["velocity_magnitude"]}
+        expression = EXPRESSIONS["velocity_magnitude"]
+        with DerivedFieldService(devices=("cpu", "cpu")) as service:
+            entered, gate = hold_engine(service.workers[0].engine)
+            try:
+                # Either idle worker may take a request; submit until
+                # worker 0 is the one holding a launch.
+                held = []
+                give_up = time.monotonic() + 10.0
+                while not entered.is_set():
+                    assert time.monotonic() < give_up, "worker 0 idle"
+                    held.append(service.submit(expression, inputs))
+                    entered.wait(0.05)
+                probe = service.submit(expression, inputs)
+                assert probe.result(timeout=10.0).output is not None
+                assert probe.device == "1:cpu"
+            finally:
+                gate.set()
+            for handle in held:
+                handle.result(timeout=10.0)
+        assert "0:cpu" in {handle.device for handle in held}
+
+    def test_workers_sharing_the_queue_settle_each_request_once(self,
+                                                                fields):
+        """Four workers (more than cores) and four submitters race on
+        the one admission queue under a short switch interval: every
+        request is served exactly once, bitwise equal to a solo run."""
+        names = list(EXPRESSIONS)
+        engine = DerivedFieldEngine(device="cpu", strategy="fusion")
+        inputs = {name: {k: fields[k] for k in EXPRESSION_INPUTS[name]}
+                  for name in names}
+        expected = {name: engine.derive(EXPRESSIONS[name], inputs[name])
+                    for name in names}
+        handles = []
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with DerivedFieldService(devices=("cpu",) * 4,
+                                     queue_depth=256) as service:
+
+                def submitter(index):
+                    for round_no in range(12):
+                        name = names[(index + round_no) % len(names)]
+                        handle = service.submit(EXPRESSIONS[name],
+                                                inputs[name])
+                        with lock:
+                            handles.append((name, handle))
+
+                run_threads(submitter, 4)
+                for name, handle in handles:
+                    report = handle.result(timeout=30.0)
+                    assert np.array_equal(report.output, expected[name])
+        finally:
+            sys.setswitchinterval(interval)
+        requests = service.snapshot()["requests"]
+        assert requests["outcomes"]["served"] == len(handles) == 48
+        assert requests["offered"] == requests["resolved"]
+        assert requests["in_flight"] == 0
